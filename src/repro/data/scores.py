@@ -7,8 +7,10 @@ the minimal out-of-core contract: a length ``n``, a dtype, and
 ``block(lo, hi)`` returning any requested slice as a fresh ndarray.  Blocks
 must be *recomputable* — reading the same range twice returns the same
 values, regardless of what was read in between — because the tiled engine
-(:mod:`repro.engine.tiled`) re-reads score tiles once per retraversal pass
-and once per epsilon-grid cell rather than caching them.
+(:mod:`repro.engine.tiled`) holds at most one score tile at a time and
+re-reads the others when it comes back to them: once per retraversal pass,
+once per epsilon-grid cell, and once more for Alg. 2's rescans after its
+first sweep.
 
 Three concrete sources cover the deployment shapes:
 

@@ -14,12 +14,21 @@ holding the full row.
 consumes the bit stream exactly like the equivalent sequence of smaller
 draws, so drawing a trial's query noise tile by tile (in query order, from
 the same per-trial stream) reproduces the dense engine's one full-width
-draw bit for bit.  The two places that must *revisit* noise — Alg. 2's
-segmented rescans (later rounds re-read the query noise under a refreshed
-threshold) and shared-unit epsilon grids (every grid point re-reads the same
-unit block) — re-derive their tiles from bit-generator state checkpoints
-(:class:`~repro.engine.noise.TrialStreams`) rather than storing them, the
-same re-derivation trick that makes the per-trial streams chunk-invariant.
+draw bit for bit.  The two places that must *revisit* noise re-derive it
+from bit-generator state checkpoints
+(:class:`~repro.engine.noise.TrialStreams`) rather than storing it, the same
+re-derivation trick that makes the per-trial streams chunk-invariant:
+
+* shared-unit epsilon grids re-read the same unit tiles once per grid point,
+  replayed from each tile's checkpoint;
+* Alg. 2's segmented rescans (later rounds re-read the query noise under a
+  refreshed threshold) give every scanning trial a *noise cursor* — a
+  replay generator sitting exactly at its next scan position — that scans
+  forward in growing steps, so a round costs its scan distance rather than
+  a tile.  The rescans visit the tiles in order and keep the current score
+  and threshold tile as a one-tile cache, so beyond the live round-1 sweep
+  each tile is read at most once per epsilon cell.
+
 Consequently, for every registry variant and every ``(chunk_trials,
 chunk_n)`` grid, the tiled result equals the dense per-trial-stream result
 exactly: same selections, same ``processed``/``passes``/``examined``
@@ -27,8 +36,9 @@ accounting, same SER/FNR — enforced across all variants by
 ``tests/engine/test_engine_tiled.py``.
 
 What the fold keeps per trial is O(c): the selection so far, a firing
-count, a halt position.  What it streams is O(chunk_trials × chunk_n): one
-score tile, one noise tile, one comparison tile.  Nothing is ever
+count, a halt position, Alg. 2's cursor.  What it streams is
+O(chunk_trials × chunk_n): one score tile, one noise tile, one comparison
+tile.  Nothing is ever
 materialized at (trials, n) — except the optional ``positives_mask``, which
 is only built when ``trials * n`` is small enough to afford it (the
 no-cutoff variants' mask is genuinely dense information).
@@ -42,7 +52,7 @@ shuffle path (bounded by its own ``max_bytes`` trial chunking).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,6 +61,7 @@ from repro.core.base import normalize_thresholds
 from repro.data.scores import ScoreSource, topc_stats
 from repro.engine.noise import TrialStreams
 from repro.engine.plans import noise_plan
+from repro.engine.trials import TrialBatch, _scatter_selection, _svt_scales
 from repro.exceptions import InvalidParameterError
 from repro.metrics.utility import metrics_from_topc
 
@@ -65,12 +76,16 @@ _SINGLE_PASS = ("alg1", "alg3", "alg4", "alg5", "alg6", "gptt")
 
 
 class _ThresholdView:
-    """Tile-sliced thresholds without materializing the scalar broadcast."""
+    """Tile-sliced thresholds without materializing the scalar broadcast.
+
+    A scalar threshold comes back as a read-only zero-stride view; callers
+    only read it.
+    """
 
     def __init__(self, thresholds, n: int) -> None:
         arr = np.asarray(thresholds, dtype=float)
         if arr.ndim == 0:
-            self._scalar: Optional[float] = float(arr)
+            self._scalar: Optional[np.ndarray] = arr
             self._arr: Optional[np.ndarray] = None
         else:
             self._scalar = None
@@ -78,16 +93,8 @@ class _ThresholdView:
 
     def __call__(self, lo: int, hi: int) -> np.ndarray:
         if self._arr is None:
-            return np.full(hi - lo, self._scalar)
+            return np.broadcast_to(self._scalar, (hi - lo,))
         return self._arr[lo:hi]
-
-
-def _svt_scales(
-    allocation: BudgetAllocation, c: int, delta: float, monotonic: bool
-) -> Tuple[float, float]:
-    """(rho_scale, nu_scale) of Alg. 7 under one allocation (engine-shared)."""
-    factor = c if monotonic else 2 * c
-    return delta / allocation.eps1, factor * delta / allocation.eps2
 
 
 class _UnitTiles:
@@ -152,13 +159,6 @@ def _live_iter(streams, tiles, kind: str, scale: float = 1.0):
             yield streams.gumbel_tile(hi - lo)
         else:
             yield streams.laplace_tile(scale, hi - lo)
-
-
-def _scatter_selection(selection: np.ndarray, trials: int, n: int) -> np.ndarray:
-    mask = np.zeros((trials, n), dtype=bool)
-    rows, cols = np.nonzero(selection >= 0)
-    mask[rows, selection[rows, cols]] = True
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +234,50 @@ def _fold_single_pass(
 
 
 # ---------------------------------------------------------------------------
-# Alg. 2: segmented rescans over the tile grid with checkpoint replay.
+# Alg. 2: segmented rescans over the tile grid with per-trial noise cursors.
 # ---------------------------------------------------------------------------
 
+#: A cursor scan draws this many noise values in its first step and doubles
+#: every further step of the same scan up to :data:`_SCAN_STEP_CAP`: a hit a
+#: few positions away costs a few hundred draws, a long scan costs
+#: O(distance / cap) steps.
+_SCAN_STEP = 256
+_SCAN_STEP_CAP = 1 << 16
 
-def _tile_index(tiles: Sequence[Tuple[int, int]], pos: int) -> int:
-    """Index of the tile containing query position *pos*."""
-    for k, (lo, hi) in enumerate(tiles):
-        if lo <= pos < hi:
-            return k
-    raise InvalidParameterError(f"position {pos} outside the tile grid")
+
+def _scan_to_hit(
+    gen: np.random.Generator,
+    v: np.ndarray,
+    t: np.ndarray,
+    off: int,
+    rho: float,
+    draw_scale: float,
+    mult: float,
+    step: int,
+) -> Tuple[int, int]:
+    """Advance one trial's noise cursor through the tile ``(v, t)``.
+
+    Scans from tile offset *off* in growing steps and returns ``(hit,
+    step)``: the offset of the first ``v + nu >= t + rho`` (-1 if the tile
+    ends without one) and the step size a continuing scan resumes with.  On
+    a hit the cursor is restored to the step's saved state and redrawn
+    through the hit, so it sits exactly at ``hit + 1``; on a miss it sits at
+    the tile's end.
+    """
+    w = v.size
+    while off < w:
+        m = min(step, w - off)
+        saved = gen.bit_generator.state
+        nu = gen.laplace(scale=draw_scale, size=m) * mult
+        above = v[off : off + m] + nu >= t[off : off + m] + rho
+        j = int(np.argmax(above))
+        if above[j]:
+            gen.bit_generator.state = saved
+            gen.laplace(scale=draw_scale, size=j + 1)
+            return off + j, step
+        off += m
+        step = min(2 * step, _SCAN_STEP_CAP)
+    return -1, step
 
 
 def _fold_dpbook(
@@ -257,15 +291,26 @@ def _fold_dpbook(
     c: int,
     unit_states: Optional[list],
 ):
-    """Alg. 2 over the tile grid: rounds of first-hit scans, replayed tiles.
+    """Alg. 2 over the tile grid: rounds of first-hit scans on noise cursors.
 
-    Round 1 sweeps every tile; with ``unit_states=None`` the query noise is
-    drawn live (advancing the streams through exactly n draws per trial,
-    the dense draw order) while each tile's pre-draw states are recorded.
-    Later rounds re-derive only the tiles at/after each still-active trial's
-    scan position from those checkpoints — replay generators, so the live
-    streams stay exactly where the dense path leaves them: right before the
-    data-dependent refresh draws, which are taken live in event order.
+    Every trial still scanning owns a *cursor*: a replay generator that sits
+    exactly at its next scan position in the query-noise block.  A round
+    scans forward from there (:func:`_scan_to_hit`), so it costs its scan
+    distance, not a tile width, and a hit leaves the cursor at ``hit + 1``,
+    where the next round starts.
+
+    With ``unit_states=None`` round 1 is the live sweep: each tile's query
+    noise is drawn from the live streams for all trials at once (exactly n
+    draws per trial, the dense draw order), and a trial's cursor is cut
+    from the checkpoint of the tile holding its first hit.  With shared unit
+    noise, round 1 is a cursor scan too, replayed from the grid's unit
+    checkpoints.  Either way the live streams then see only the
+    data-dependent refresh draws, taken in each trial's event order.
+
+    The cursor rounds run tile-major: tiles are visited in order, and each
+    is read from ``source`` once and kept as the one cached score/threshold
+    tile while every cursor inside it scans, refreshes and rescans up to
+    its end.  Cursors only move forward, so no tile is read again.
     """
     trials = len(streams)
     n = source.n
@@ -274,81 +319,72 @@ def _fold_dpbook(
     selection = np.full((trials, c), -1, dtype=np.int64)
     processed = np.full(trials, n, dtype=np.int64)
     halted = np.zeros(trials, dtype=bool)
-    start = np.zeros(trials, dtype=np.int64)
-    active = np.ones(trials, dtype=bool) if n else np.zeros(trials, dtype=bool)
+    pos = np.zeros(trials, dtype=np.int64)
+    step = np.full(trials, _SCAN_STEP, dtype=np.int64)
+    cursors: List[Optional[np.random.Generator]] = [None] * trials
 
-    live_round1 = unit_states is None
-    tile_states: List[list] = [] if live_round1 else list(unit_states)
-    draw_scale = nu_scale if live_round1 else 1.0
-    mult = 1.0 if live_round1 else nu_scale
+    def commit(t_idx: int, hit: int) -> bool:
+        """Record a hit and refresh rho; True while the trial scans on."""
+        selection[t_idx, count[t_idx]] = hit
+        count[t_idx] += 1
+        if count[t_idx] >= c:
+            processed[t_idx] = hit + 1
+            halted[t_idx] = True
+            return False
+        rho[t_idx] = float(streams.gens[t_idx].laplace(scale=refresh_scale))
+        pos[t_idx] = hit + 1
+        step[t_idx] = _SCAN_STEP
+        return hit + 1 < n
 
-    # Round 1: one sweep, all trials, initial rho.
-    hit_pos = np.full(trials, -1, dtype=np.int64)
-    if live_round1:
-        nu_src = None
+    if unit_states is None:
+        draw_scale, mult = nu_scale, 1.0
+        hit_pos = np.full(trials, -1, dtype=np.int64)
+        for lo, hi in tiles:
+            states = streams.checkpoint()
+            nu = streams.laplace_tile(nu_scale, hi - lo)
+            need = hit_pos < 0
+            if hi == lo or not need.any():
+                continue  # the live streams must still advance
+            v = source.block(lo, hi)
+            t = thrv(lo, hi)
+            above = v[None, :] + nu >= t[None, :] + rho[:, None]
+            first = np.argmax(above, axis=1)
+            for t_idx in np.nonzero(need & above[np.arange(trials), first])[0]:
+                j = int(first[t_idx])
+                hit_pos[t_idx] = lo + j
+                cursors[t_idx] = streams.replayer(t_idx, states[t_idx])
+                cursors[t_idx].laplace(scale=draw_scale, size=j + 1)
+        active = [
+            t_idx for t_idx in range(trials)
+            if hit_pos[t_idx] >= 0 and commit(t_idx, int(hit_pos[t_idx]))
+        ]
     else:
-        rep = streams.replayers(tile_states[0]) if tiles else None
-    for k, (lo, hi) in enumerate(tiles):
-        w = hi - lo
-        if live_round1:
-            tile_states.append(streams.checkpoint())
-            nu = streams.laplace_tile(nu_scale, w)
-        else:
-            nu = rep.laplace_tile(1.0, w) * nu_scale
-        if w == 0:
-            continue
-        need = active & (hit_pos < 0)
-        if not need.any():
-            if live_round1:
-                continue  # streams must still advance; replay may stop early
+        draw_scale, mult = 1.0, nu_scale
+        active = list(range(trials)) if n else []
+        for t_idx in active:
+            cursors[t_idx] = streams.replayer(t_idx, unit_states[0][t_idx])
+
+    for lo, hi in tiles:
+        if not active:
             break
+        here = [t_idx for t_idx in active if pos[t_idx] < hi]
+        if not here:
+            continue
         v = source.block(lo, hi)
         t = thrv(lo, hi)
-        above = v[None, :] + nu >= t[None, :] + rho[:, None]
-        has = above.any(axis=1)
-        first = np.argmax(above, axis=1)
-        newly = need & has
-        hit_pos[newly] = lo + first[newly]
-
-    while True:
-        # Commit this round's hits: selection, counts, refreshes (live).
-        hit_trials = np.nonzero(active & (hit_pos >= 0))[0]
-        miss_trials = np.nonzero(active & (hit_pos < 0))[0]
-        active[miss_trials] = False  # no further hit under the current rho
-        for t_idx in hit_trials:
-            pos = int(hit_pos[t_idx])
-            selection[t_idx, count[t_idx]] = pos
-            count[t_idx] += 1
-            if count[t_idx] >= c:
-                processed[t_idx] = pos + 1
-                halted[t_idx] = True
-                active[t_idx] = False
-            else:
-                rho[t_idx] = float(
-                    streams.gens[t_idx].laplace(scale=refresh_scale)
+        for t_idx in here:
+            while True:
+                j, step[t_idx] = _scan_to_hit(
+                    cursors[t_idx], v, t, int(pos[t_idx]) - lo, float(rho[t_idx]),
+                    draw_scale, mult, int(step[t_idx]),
                 )
-                start[t_idx] = pos + 1
-                if start[t_idx] >= n:
-                    active[t_idx] = False
-        if not active.any():
-            break
-        # Next round: per-trial replay from the tile containing its start.
-        hit_pos[:] = -1
-        for t_idx in np.nonzero(active)[0]:
-            k0 = _tile_index(tiles, int(start[t_idx]))
-            gen = streams.replayer(t_idx, tile_states[k0][t_idx])
-            for k in range(k0, len(tiles)):
-                lo, hi = tiles[k]
-                w = hi - lo
-                nu_row = gen.laplace(scale=draw_scale, size=w) * mult
-                v = source.block(lo, hi)
-                t = thrv(lo, hi)
-                above = v + nu_row >= t + rho[t_idx]
-                if k == k0 and start[t_idx] > lo:
-                    above[: start[t_idx] - lo] = False
-                hits = np.nonzero(above)[0]
-                if hits.size:
-                    hit_pos[t_idx] = lo + int(hits[0])
+                if j < 0:
+                    pos[t_idx] = hi
+                    break
+                if not commit(t_idx, lo + j):
+                    active.remove(t_idx)
+                    break
+                if pos[t_idx] >= hi:
                     break
     return selection, processed, halted, count
 
@@ -356,6 +392,38 @@ def _fold_dpbook(
 # ---------------------------------------------------------------------------
 # EM: running top-c merge over the tile grid.
 # ---------------------------------------------------------------------------
+
+
+def _top_c_merge(
+    keys: np.ndarray, idx: np.ndarray, c: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's c largest keys (and their indices), key-descending.
+
+    Equals ``argsort(-keys, kind="stable")[:, :c]``: ties keep their column
+    order.  Instead of sorting whole rows it partitions out each row's c-th
+    largest key, keeps every candidate ``>=`` it (all ties included), and
+    stable-sorts only those, padded to the widest row with ``-inf`` keys
+    that sort after every candidate.
+    """
+    trials, m = keys.shape
+    order = None
+    if m > c:
+        kth = np.partition(keys, m - c, axis=1)[:, m - c]
+        rows, cols = np.nonzero(keys >= kth[:, None])
+        counts = np.bincount(rows, minlength=trials)
+        # A row has fewer than c candidates only if NaN keys (which the
+        # partition ranks largest, the sort last) crowd out its kth.
+        if counts.min() >= c:
+            slots = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+            cand = np.full((trials, int(counts.max())), -np.inf)
+            cand_cols = np.zeros(cand.shape, dtype=np.int64)
+            cand[rows, slots] = keys[rows, cols]
+            cand_cols[rows, slots] = cols
+            order = np.argsort(-cand, axis=1, kind="stable")[:, :c]
+            order = np.take_along_axis(cand_cols, order, axis=1)
+    if order is None:
+        order = np.argsort(-keys, axis=1, kind="stable")[:, :c]
+    return np.take_along_axis(keys, order, axis=1), np.take_along_axis(idx, order, axis=1)
 
 
 def _fold_em(
@@ -371,9 +439,9 @@ def _fold_em(
     """c-round EM selections via a streaming row-wise top-c merge.
 
     Keys are ``logits + gumbel`` exactly as the dense kernel computes them;
-    the per-tile merge keeps each trial's c best ``(key, index)`` pairs in
-    key-descending order (stable, so ties resolve to the lower index — the
-    dense stable-argsort order).
+    the per-tile merge (:func:`_top_c_merge`) keeps each trial's c best
+    ``(key, index)`` pairs in key-descending order with ties to the lower
+    index — the dense stable-argsort order.
     """
     from repro.mechanisms.exponential import _validate_eps, _validate_sensitivity
 
@@ -396,11 +464,11 @@ def _fold_em(
         v = source.block(lo, hi)
         keys = scale * v[None, :] + gumbel
         idx = np.broadcast_to(np.arange(lo, hi, dtype=np.int64), (trials, w))
-        all_keys = np.concatenate([best_keys, keys], axis=1)
-        all_idx = np.concatenate([best_idx, idx], axis=1)
-        order = np.argsort(-all_keys, axis=1, kind="stable")[:, :c_eff]
-        best_keys = np.take_along_axis(all_keys, order, axis=1)
-        best_idx = np.take_along_axis(all_idx, order, axis=1)
+        best_keys, best_idx = _top_c_merge(
+            np.concatenate([best_keys, keys], axis=1),
+            np.concatenate([best_idx, idx], axis=1),
+            c_eff,
+        )
     return best_idx
 
 
@@ -530,8 +598,6 @@ def _assemble(
     passes: Optional[np.ndarray] = None,
     exhausted: Optional[np.ndarray] = None,
 ):
-    from repro.engine.trials import TrialBatch
-
     if compute_metrics:
         if topc is None:
             topc = topc_stats(source, c)

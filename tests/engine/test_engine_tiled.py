@@ -5,13 +5,18 @@ The out-of-core contract: for every registry variant and every
 the query axis tiled produces exactly the dense per-trial-stream result —
 selections, ``processed``/``passes``/``examined`` accounting, positives,
 SER/FNR.  Plus the planner's forced-tiling fallback, the epsilon-grid
-shared-noise path, the mask-materialization policy, and shuffle rejection.
+shared-noise path, the mask-materialization policy, shuffle rejection, Alg. 2's
+noise cursors at a scale where scans cross tiles, the EM top-c merge's tie
+order, and the number of score-tile reads per call.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.data.scores import DenseScores, GeneratorScores, MemmapScores
+import repro.engine.tiled as tiled_mod
+from repro.data.scores import DenseScores, GeneratorScores, MemmapScores, ScoreSource
 from repro.engine.plans import plan_trials
 from repro.engine.trials import run_trials
 from repro.exceptions import InvalidParameterError
@@ -210,8 +215,6 @@ class TestTiledPolicies:
             )
 
     def test_mask_suppressed_above_limit(self, scores, monkeypatch):
-        import repro.engine.tiled as tiled_mod
-
         monkeypatch.setattr(tiled_mod, "MASK_MATERIALIZE_LIMIT", 10)
         batch = run_trials(
             "alg6", scores, 0.5, 3, 4, thresholds=float(scores[3]),
@@ -236,8 +239,6 @@ class TestTiledPolicies:
         the policy must consider the merged (trials, n) height."""
         # 3 chunks x 3 trials: each chunk is 3*143=429 cells (under a 500-
         # cell limit) but the merged mask would be 1287 cells (over it).
-        import repro.engine.tiled as tiled_mod
-
         monkeypatch.setattr(tiled_mod, "MASK_MATERIALIZE_LIMIT", 500)
         tiled = run_trials(
             "alg1", scores, 0.5, 3, 9, thresholds=float(scores[3]), rng=0,
@@ -276,3 +277,161 @@ class TestTiledPolicies:
     def test_bad_chunk_n_rejected(self, scores):
         with pytest.raises(InvalidParameterError):
             run_trials("alg1", scores, 0.5, 3, 4, rng=0, chunk_n=0)
+
+
+@pytest.fixture(scope="module")
+def shuffled_scores():
+    """200k heavy-tailed scores in random order: the few above a high
+    threshold sit tens of thousands of positions apart."""
+    gen = np.random.default_rng(5)
+    return gen.permutation(np.sort(gen.pareto(1.2, 200_003))[::-1] * 40)
+
+
+class TestDpbookCursors:
+    """Alg. 2's per-trial noise cursors where their steps matter: scans whose
+    steps grow to the cap and that cross tile boundaries."""
+
+    @pytest.mark.parametrize("chunk_n", (33_333, 70_001, 200_003))
+    @pytest.mark.parametrize("eps", (1.0, (0.5, 1.0, 2.0)), ids=("live", "shared"))
+    def test_sparse_hits_bit_identical(self, shuffled_scores, monkeypatch, chunk_n, eps):
+        c, trials = 6, 5
+        thr = float(np.sort(shuffled_scores)[::-1][3])
+        scans = []
+        scan = tiled_mod._scan_to_hit
+
+        def recording_scan(gen, v, t, off, rho, draw_scale, mult, step):
+            hit, step_out = scan(gen, v, t, off, rho, draw_scale, mult, step)
+            scans.append((off, step, step_out))
+            return hit, step_out
+
+        monkeypatch.setattr(tiled_mod, "_scan_to_hit", recording_scan)
+        eps_arg = list(eps) if isinstance(eps, tuple) else eps
+        kwargs = dict(thresholds=thr, share_noise=True)
+        dense = run_trials(
+            "alg2", shuffled_scores, eps_arg, c, trials,
+            rng=derive_rngs(1, trials, "cursor"), **kwargs,
+        )
+        tiled = run_trials(
+            "alg2", shuffled_scores, eps_arg, c, trials,
+            rng=derive_rngs(1, trials, "cursor"), chunk_n=chunk_n, **kwargs,
+        )
+        if isinstance(eps, tuple):
+            assert set(dense) == set(tiled)
+            pairs = [(dense[e], tiled[e]) for e in eps]
+        else:
+            pairs = [(dense, tiled)]
+        for a, b in pairs:
+            assert_batches_equal(a, b, f"alg2 eps={eps} chunk_n={chunk_n}")
+        # The fixture really exercises the cursor: several hits per trial,
+        # scans whose steps grow to the cap, and, when tiled, scans that
+        # carry on into the next tile.
+        assert (pairs[0][0].num_positives >= 2).all()
+        assert any(out == tiled_mod._SCAN_STEP_CAP for _off, _step, out in scans)
+        if chunk_n < shuffled_scores.size:
+            assert any(off == 0 and step > tiled_mod._SCAN_STEP for off, step, _out in scans)
+
+    def test_threshold_array(self, shuffled_scores):
+        c, trials = 5, 4
+        n = shuffled_scores.size
+        thr = np.sort(shuffled_scores)[::-1][3] * np.linspace(0.8, 1.2, n)
+        dense = run_trials(
+            "alg2", shuffled_scores, 1.5, c, trials, thresholds=thr,
+            rng=derive_rngs(3, trials, "cursor-thr"),
+        )
+        tiled = run_trials(
+            "alg2", shuffled_scores, 1.5, c, trials, thresholds=thr,
+            rng=derive_rngs(3, trials, "cursor-thr"), chunk_n=45_678,
+        )
+        assert_batches_equal(dense, tiled, "alg2 threshold array")
+
+
+class CountingScores(ScoreSource):
+    """Counts ``block`` reads per range of a wrapped source."""
+
+    def __init__(self, inner: ScoreSource) -> None:
+        self.inner = inner
+        self.n = inner.n
+        self.reads: Counter = Counter()
+
+    def block(self, lo, hi):
+        self.reads[(lo, hi)] += 1
+        return self.inner.block(lo, hi)
+
+    def take(self, indices):
+        return self.inner.take(indices)
+
+
+class TestTileReads:
+    """Wall-clock-free work bounds: Alg. 2 reads each score tile O(1) times
+    per call, not once per round per trial."""
+
+    def _source(self):
+        return CountingScores(GeneratorScores.power_law(
+            20_000, head_support=5_000.0, alpha=1.0, num_records=50_000, tile=4096,
+        ))
+
+    def test_alg2_reads_each_tile_at_most_twice(self):
+        src = self._source()
+        c, trials = 12, 6
+        thr = float(src.inner.block(c, c + 1)[0])
+        batch = run_trials(
+            "alg2", src, 0.5, c, trials, thresholds=thr, rng=derive_rngs(2, trials, "reads"),
+            chunk_n=3_000, compute_metrics=False,
+        )
+        # Many more rounds than tiles were run ...
+        assert batch.num_positives.sum() > 4 * len(src.reads)
+        # ... yet each tile was read by the live sweep and one cursor pass.
+        assert max(src.reads.values()) <= 2
+
+    def test_alg2_shared_grid_reads_each_tile_once_per_cell(self):
+        src = self._source()
+        c, trials = 12, 6
+        eps_grid = [0.3, 0.5, 0.9]
+        thr = float(src.inner.block(c, c + 1)[0])
+        run_trials(
+            "alg2", src, eps_grid, c, trials, thresholds=thr,
+            rng=derive_rngs(2, trials, "reads"), chunk_n=3_000, compute_metrics=False,
+        )
+        assert max(src.reads.values()) <= len(eps_grid)
+
+
+def _em_reference(v, gumbel, scale, c):
+    keys = scale * v[None, :] + gumbel
+    return np.argsort(-keys, axis=1, kind="stable")[:, :c]
+
+
+class TestEmMerge:
+    """The partition-based top-c merge keeps the stable-argsort order:
+    key-descending, ties to the lower index."""
+
+    @pytest.mark.parametrize("width", (1, 2, 3, 7, 50))
+    @pytest.mark.parametrize("noise", ("zero", "integer"))
+    @pytest.mark.parametrize("n,c", ((40, 5), (4, 6), (40, 40)))
+    def test_ties_match_stable_argsort(self, width, noise, n, c):
+        trials = 5
+        gen = np.random.default_rng(width * 31 + n)
+        v = gen.integers(0, 3, size=n).astype(float)
+        if noise == "zero":
+            gumbel = np.zeros((trials, n))
+        else:
+            gumbel = gen.integers(0, 2, size=(trials, n)).astype(float)
+        src = DenseScores(v)
+        tiles = src.tile_bounds(width)
+        stub = iter([gumbel[:, lo:hi] for lo, hi in tiles])
+        eps, delta = 2.0, 1.0
+        got = tiled_mod._fold_em(src, tiles, stub, eps, c, delta, True, trials)
+        c_eff = min(c, n)
+        scale = eps / c_eff / delta
+        np.testing.assert_array_equal(got, _em_reference(v, gumbel, scale, c_eff))
+
+    def test_merge_with_nan_and_inf_keys(self):
+        keys = np.array([
+            [1.0, np.nan, 3.0, np.nan, np.nan, 3.0, -np.inf],
+            [-np.inf, -np.inf, -np.inf, 0.0, np.inf, np.inf, 2.0],
+        ])
+        idx = np.broadcast_to(np.arange(7), keys.shape)
+        for c in (1, 2, 3, 6):
+            order = np.argsort(-keys, axis=1, kind="stable")[:, :c]
+            got_keys, got_idx = tiled_mod._top_c_merge(keys, idx, c)
+            np.testing.assert_array_equal(got_idx, order)
+            np.testing.assert_array_equal(got_keys, np.take_along_axis(keys, order, axis=1))
