@@ -315,10 +315,10 @@ def run_server_trial(workload, state_dir=None, trace=False):
         if scraper is not None:
             scrape_stop.set()
             scraper.join(timeout=10.0)
-        trace_report = harness.server.tracer.report(slow_limit=0) if trace else None
+        trace_report = harness.server.local.tracer.report(slow_limit=0) if trace else None
     # Snapshot after graceful shutdown: the drain loop's trailing counter
     # updates may still be in flight when the last response reaches a client.
-    snapshot = harness.server.snapshot()
+    snapshot = harness.server.local.snapshot()
 
     # Validate off the clock: every block answered, payloads well-formed.
     answered = 0
@@ -596,13 +596,11 @@ def recorded_server(name):
 
 
 class ShardedHarness:
-    """Run one ShardedServer's router loop on a dedicated thread."""
+    """Run one sharded RuntimeServer's front end on a dedicated thread."""
 
     def __init__(self, supports, config: ServerConfig, shards: int,
                  trace: bool = False) -> None:
-        from repro.service.runtime import ShardedServer
-
-        self.server = ShardedServer(supports, config, shards=shards)
+        self.server = RuntimeServer(supports, config, shards=shards)
         self.trace = trace
         self.trace_report = None
         self._ready = threading.Event()
@@ -741,7 +739,7 @@ def sharded_responses_bit_identical(workload) -> bool:
     admission counter — process-local by design, excluded)."""
     import io
 
-    from repro.service.runtime import RuntimeServer, ShardedServer
+    from repro.service.runtime import RuntimeServer
 
     config = ServerConfig(
         epsilon=SPEC.epsilon, error_threshold=workload.error_threshold,
@@ -764,7 +762,7 @@ def sharded_responses_bit_identical(workload) -> bool:
     ))
 
     async def sharded():
-        server = ShardedServer(workload.supports, config, shards=2)
+        server = RuntimeServer(workload.supports, config, shards=2)
         out = io.StringIO()
         try:
             await server.serve_stdin(io.StringIO(script), out)

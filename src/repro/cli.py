@@ -158,9 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="listen on --host/--port for concurrent JSONL clients "
                             "instead of reading stdin")
     serve.add_argument("--shards", type=int, default=1,
-                       help="worker processes: 1 (default) runs the in-process "
-                            "runtime; N>1 consistent-hashes tenants onto N "
-                            "single-shard workers behind an ingress router "
+                       help="1 (default) serves from this process; N>1 "
+                            "consistent-hashes tenants onto N worker processes "
+                            "behind the same front end "
                             "(per-shard state under <state-dir>/shard-K)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7707,
@@ -413,72 +413,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print("error: --shards must be >= 1", file=sys.stderr)
         return 2
-    if args.shards > 1:
-        return _serve_sharded(args, supports, config)
-    server = RuntimeServer(supports, config)
-    if server.recovery is not None:
-        print(server.recovery.summary(), file=sys.stderr)
-    server.on_expire = lambda tenant, released: print(
-        f"expired session for tenant {tenant} (released {released:g} epsilon)",
-        file=sys.stderr,
-    )
-
-    async def tcp_main() -> None:
-        import signal
-
-        await server.serve_tcp(args.host, args.port)
-        host, port = server.tcp_address
-        print(f"listening on {host}:{port} (JSONL; ctrl-C stops)", file=sys.stderr)
-        if server.admin is not None:
-            ahost, aport = server.admin.address
-            print(f"admin plane on http://{ahost}:{aport} "
-                  f"(/healthz /readyz /metrics ...)", file=sys.stderr)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-POSIX loops
-                pass
-        await stop.wait()
-        print("shutting down", file=sys.stderr)
-        await server.shutdown()
-
-    if args.tcp:
-        asyncio.run(tcp_main())
-    else:
-        asyncio.run(server.serve_stdin())
-    # TCP shutdown closes the store itself; the stdio path (and any bailout
-    # before shutdown ran) must not leave pending audit appends in memory.
-    server.close_store()
-    if server.store is not None:
-        print(f"durable state checkpointed to {server.store.state_dir}", file=sys.stderr)
-
-    service = server.service
-    served = (
-        server.metrics.counter("answered_total").value
-        + server.metrics.counter("rejected_total").value
-    )
-    sessions = len(service.manager) + len(service.manager.closed_sessions())
-    spent = service.manager.total_spent()  # live and evicted sessions alike
-    print(
-        f"served {served} requests across {sessions} sessions "
-        f"({len(service.audit)} audit records, total epsilon spent {spent:g})",
-        file=sys.stderr,
-    )
-    if args.audit_log is not None:
-        written = service.audit.to_jsonl(args.audit_log)
-        print(f"audit log: {written} records written to {args.audit_log}", file=sys.stderr)
-    return 0
-
-
-def _serve_sharded(args: argparse.Namespace, supports, config) -> int:
-    """`serve --shards N`: the consistent-hash router over N workers."""
-    import asyncio
-
-    from repro.service.runtime import ShardedServer
-
-    if args.audit_log is not None:
+    if args.audit_log is not None and args.shards > 1:
         # Each shard owns an independent audit seq space persisted under
         # state_dir/shard-K; one flat export file would scramble them.  The
         # seq-merged /audit view (or per-shard state dirs) is the sharded
@@ -487,65 +422,67 @@ def _serve_sharded(args: argparse.Namespace, supports, config) -> int:
               "--state-dir (per-shard audit under shard-K/) or the /audit "
               "admin route", file=sys.stderr)
         return 2
-    server = ShardedServer(supports, config, shards=args.shards)
+    sharded = args.shards > 1
+    server = RuntimeServer(supports, config, shards=args.shards)
+    if server.local is not None:
+        server.local.on_expire = lambda tenant, released: print(
+            f"expired session for tenant {tenant} (released {released:g} epsilon)",
+            file=sys.stderr,
+        )
 
-    def report_boot() -> None:
-        for shard, worker in sorted(server.workers.items()):
-            info = worker.ready_info or {}
-            line = f"shard {shard}: pid {info.get('pid')}"
-            if "recovery_summary" in info:
-                line += f"; {info['recovery_summary']}"
-            print(line, file=sys.stderr)
-
-    async def tcp_main() -> None:
+    async def main() -> dict:
         import signal
 
-        await server.serve_tcp(args.host, args.port)
-        report_boot()
-        host, port = server.tcp_address
-        print(f"listening on {host}:{port} "
-              f"(JSONL; {args.shards} shards; ctrl-C stops)", file=sys.stderr)
-        if server.admin is not None:
-            ahost, aport = server.admin.address
-            print(f"admin plane on http://{ahost}:{aport} "
-                  f"(merged across shards)", file=sys.stderr)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-POSIX loops
-                pass
-        await stop.wait()
-        print("shutting down", file=sys.stderr)
+        for shard, info in sorted((await server.start()).items()):
+            summary = info.get("recovery_summary")
+            if sharded:
+                line = f"shard {shard}: pid {info['pid']}"
+                print(line + (f"; {summary}" if summary else ""), file=sys.stderr)
+            elif summary:
+                print(summary, file=sys.stderr)
+        if args.tcp:
+            await server.serve_tcp(args.host, args.port)
+            host, port = server.tcp_address
+            shards = f"; {args.shards} shards" if sharded else ""
+            print(f"listening on {host}:{port} (JSONL{shards}; ctrl-C stops)",
+                  file=sys.stderr)
+            if server.admin is not None:
+                ahost, aport = server.admin.address
+                print(f"admin plane on http://{ahost}:{aport} "
+                      f"(/healthz /readyz /metrics ...)", file=sys.stderr)
+            stop = asyncio.Event()
+            loop = asyncio.get_running_loop()
+            for sig in (signal.SIGINT, signal.SIGTERM):
+                try:
+                    loop.add_signal_handler(sig, stop.set)
+                except NotImplementedError:  # pragma: no cover - non-POSIX loops
+                    pass
+            await stop.wait()
+            print("shutting down", file=sys.stderr)
+        else:
+            await server.serve_stdin()
+        # Shutdown flushes and closes every durable store; the end-of-run
+        # summary then reads the same status totals at any shard count.
         await server.shutdown()
+        return await server.status_view()
 
-    async def stdio_main() -> None:
-        await server.start()
-        report_boot()
-        await server.serve_stdin()
-        await server.shutdown()
-
-    asyncio.run(tcp_main() if args.tcp else stdio_main())
-    snap = server.final_snapshot or {}
-    statuses = server.final_statuses or {}
-    counters = snap.get("counters", {})
+    status = asyncio.run(main())
+    if config.state_dir is not None:
+        where = f"under {config.state_dir}/shard-K" if sharded else f"to {config.state_dir}"
+        print(f"durable state checkpointed {where}", file=sys.stderr)
+    counters = server.final_snapshot["counters"]
     served = int(counters.get("answered_total", 0) + counters.get("rejected_total", 0))
-    sessions = sum(
-        int(s.get("sessions_open", 0)) + int(s.get("sessions_closed", 0))
-        for s in statuses.values()
-    )
-    audit_records = sum(int(s.get("audit_records", 0)) for s in statuses.values())
-    spent = sum(float(s.get("epsilon_spent", 0.0)) for s in statuses.values())
+    sessions = status["sessions_open"] + status["sessions_closed"]
+    on_shards = f" on {args.shards} shards" if sharded else ""
     print(
-        f"served {served} requests across {sessions} sessions on "
-        f"{args.shards} shards ({audit_records} audit records, "
-        f"total epsilon spent {spent:g})",
+        f"served {served} requests across {sessions} sessions{on_shards} "
+        f"({status['audit_records']} audit records, "
+        f"total epsilon spent {status['epsilon_spent']:g})",
         file=sys.stderr,
     )
-    if config.state_dir is not None:
-        print(f"durable state checkpointed under {config.state_dir}/shard-K",
-              file=sys.stderr)
+    if args.audit_log is not None:
+        written = server.local.service.audit.to_jsonl(args.audit_log)
+        print(f"audit log: {written} records written to {args.audit_log}", file=sys.stderr)
     return 0
 
 

@@ -12,7 +12,8 @@ Routes:
 
 ======================  ======================================================
 ``/healthz``            liveness: the event loop answers (always 200)
-``/readyz``             readiness: drain-loop heartbeat fresh + store open
+``/readyz``             readiness: drain-loop heartbeat fresh + store open,
+                        on every shard
 ``/metrics``            Prometheus text exposition of the full registry
 ``/debug/trace``        per-stage latency breakdown + slow exemplars (JSON)
 ``/debug/slow``         just the slow-request exemplar ring (``?limit=``)
@@ -50,7 +51,7 @@ _MAX_PAGE = 1000
 
 _ROUTE_HELP = {
     "/healthz": "liveness probe (always 200 while the loop runs)",
-    "/readyz": "readiness: drain heartbeat + durable store state",
+    "/readyz": "readiness: drain heartbeat + durable store state, per shard",
     "/metrics": "Prometheus text exposition (version 0.0.4)",
     "/debug/trace": "stage latency breakdown + slow exemplars",
     "/debug/slow": "slow-request exemplars; ?limit=N",
@@ -79,7 +80,8 @@ class AdminPlane:
     """The runtime's operational HTTP surface, on its own port.
 
     Owns nothing but a listener and a profiler: all state it serves belongs
-    to the :class:`~repro.service.runtime.server.RuntimeServer` it wraps.
+    to the :class:`~repro.service.runtime.server.RuntimeServer` front end
+    it wraps, whatever the number of shards behind it.
     ``start()`` must run on the same event loop as the runtime (the drain
     heartbeat and ``run_in_executor`` both assume it).
     """
@@ -185,33 +187,26 @@ class AdminPlane:
         return (json.dumps(payload, default=float) + "\n").encode()
 
     # ------------------------------------------------------------------
-    # Routes.  Every data-bearing route goes through a server *view method*
-    # (``snapshot``, ``readiness``, ``sessions_view``, ...) and awaits the
-    # result when it is a coroutine: the single-process RuntimeServer
-    # answers synchronously from its own structures, the shard router
-    # answers asynchronously by merging every worker's view — same plane.
+    # Routes.  Every data-bearing route reads a front-end *view*
+    # (``snapshot``, ``readiness``, ``sessions_view``, ...): the same views
+    # the JSONL ops answer with, at every shard count — the in-process
+    # backend's own with one backend, merged over the shards otherwise.
     # ------------------------------------------------------------------
-    @staticmethod
-    async def _resolve(value):
-        if asyncio.iscoroutine(value):
-            return await value
-        return value
-
     async def _route(self, path: str, query: Dict[str, list]):
         if path in ("/", "/help"):
             return 200, "application/json", self._json({"routes": _ROUTE_HELP})
         if path == "/healthz":
             return 200, "text/plain; charset=utf-8", b"ok\n"
         if path == "/readyz":
-            ok, detail = await self._resolve(self.server.readiness())
+            ok, detail = await self.server.readiness()
             return (200 if ok else 503), "application/json", self._json(
                 {"ready": ok, **detail}
             )
         if path == "/metrics":
-            text = render_prometheus(await self._resolve(self.server.snapshot()))
+            text = render_prometheus(await self.server.snapshot())
             return 200, CONTENT_TYPE, text.encode()
         if path == "/debug/trace":
-            report = await self._resolve(self.server.trace_view())
+            report = await self.server.trace_view()
             if report is None:
                 return 404, "application/json", self._json(
                     {"error": "tracing disabled; start with --trace"}
@@ -219,7 +214,7 @@ class AdminPlane:
             return 200, "application/json", self._json(report)
         if path == "/debug/slow":
             limit = min(max(_first_int(query, "limit", 64), 0), _MAX_PAGE)
-            payload = await self._resolve(self.server.slow_view(limit))
+            payload = await self.server.slow_view(limit)
             if payload is None:
                 return 404, "application/json", self._json(
                     {"error": "tracing disabled; start with --trace"}
@@ -230,19 +225,15 @@ class AdminPlane:
         if path == "/sessions":
             limit = min(max(_first_int(query, "limit", 50), 0), _MAX_PAGE)
             offset = max(_first_int(query, "offset", 0), 0)
-            page = await self._resolve(
-                self.server.sessions_view(limit=limit, offset=offset)
-            )
+            page = await self.server.sessions_view(limit=limit, offset=offset)
             return 200, "application/json", self._json(page)
         if path == "/audit/eps":
-            view = await self._resolve(self.server.audit_eps_view())
+            view = self.server.audit_eps_view()
             return 200, "application/json", self._json(view)
         if path == "/audit":
             after_seq = _first_int(query, "after_seq", -1)
             limit = min(max(_first_int(query, "limit", 100), 0), _MAX_PAGE)
-            view = await self._resolve(
-                self.server.audit_view(after_seq=after_seq, limit=limit)
-            )
+            view = await self.server.audit_view(after_seq=after_seq, limit=limit)
             return 200, "application/json", self._json(view)
         return 404, "application/json", self._json(
             {"error": f"no route {path!r}", "routes": sorted(_ROUTE_HELP)}

@@ -1,14 +1,26 @@
-"""The concurrent service runtime: an asyncio JSONL ingestion server.
+"""The service runtime: one asyncio front end over one or N backends.
 
-PR 3's service answers ~2M req/s — but only through a closed loop where one
-thread submits a window and drains it.  Real ingestion is concurrent: many
-clients, bursty arrival, slow consumers.  This module is the runtime layer
-between the wire and the batcher:
+``repro serve`` has a single front end, :class:`RuntimeServer`.  It owns
+everything a client or an operator touches — the transports (TCP, stdio,
+and the Unix socket a shard worker listens on), client connections, the
+HTTP admin plane, graceful shutdown, and the response of every op — and it
+drives one of two backends:
 
-* **Framing** — newline-delimited JSON over TCP (``serve_tcp``) or stdio
-  (``serve_stdin``).  Each request line is one op (see :data:`PROTOCOL`);
-  each response line is one typed object.  Malformed input never kills the
-  loop: it becomes a typed ``error`` response and the connection lives on.
+* **one in-process** :class:`LocalBackend` (``shards=1``, the default):
+  each request line goes straight to the backend's dispatcher — no router
+  parse, no hop, no merge;
+* **N shard workers** (:class:`~repro.service.runtime.shard.RemoteBackend`,
+  ``shards=N``): the front end parses ``(op, tenant)``, forwards the raw
+  line to the tenant's shard on the consistent-hash ring, and merges the
+  workers' views (see :mod:`repro.service.runtime.shard`).  Every worker
+  process runs this same front end over one local backend.
+
+The local backend is the layer between the wire and the batcher:
+
+* **Framing** — newline-delimited JSON; each request line is one op (see
+  :data:`PROTOCOL`), each response line one typed object.  Malformed input
+  never kills the loop: it becomes a typed ``error`` response and the
+  connection lives on.
 * **Admission control** — every query passes through a bounded, thread-safe
   :class:`IngressQueue` before it may touch the batcher.  When the queue is
   full the request is **shed** with a typed ``overloaded`` response instead
@@ -36,13 +48,14 @@ between the wire and the batcher:
   exhausts its bounded retries degrades answers to typed ``unavailable``
   responses instead of killing connections; graceful shutdown flushes,
   checkpoints, and closes the store.
-
 * **Observability** — opt-in per-request span tracing (``ServerConfig.
   trace``) feeds per-stage latency histograms and a slow-request exemplar
-  ring (:mod:`repro.service.observability`), and an HTTP admin plane on its
-  own port (``ServerConfig.admin_port``) serves health/readiness probes,
-  the Prometheus ``/metrics`` scrape, paginated session/audit listings, and
-  on-demand sampling profiles — all on the same event loop.
+  ring (:mod:`repro.service.observability`).
+
+The front end's HTTP admin plane (``ServerConfig.admin_port``) serves
+health/readiness probes, the Prometheus ``/metrics`` scrape, paginated
+session/audit listings, and on-demand sampling profiles from the same views
+the JSONL ops answer with — one code path at every shard count.
 
 The protocol speaks both shapes of request: scalar ``query`` ops and
 ``query_block`` ops carrying a whole item array (optionally base64-packed
@@ -56,18 +69,20 @@ import asyncio
 import base64
 import binascii
 import json
+import multiprocessing
 import os
+import shutil
 import sys
+import tempfile
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import ReproError, StoreUnavailableError
-from repro.rng import RngLike
 from repro.service.engine import SVTQueryService
 from repro.service.observability.httpadmin import AdminPlane
 from repro.service.observability.tracing import RequestTracer
@@ -76,6 +91,15 @@ from repro.service.runtime.metrics import (
     AdaptiveDrainPolicy,
     MetricsRegistry,
     RssSampler,
+)
+from repro.service.runtime.shard import (
+    _READLINE_LIMIT,
+    HashRing,
+    RemoteBackend,
+    merge_audit,
+    merge_sessions,
+    merge_snapshots,
+    merge_trace,
 )
 from repro.service.store import (
     DurableStore,
@@ -91,8 +115,8 @@ FSYNC_BUCKETS_MS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0
 RECOVERY_BUCKETS_MS = (1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
                        1000.0, 2500.0, 5000.0, 10000.0)
 
-__all__ = ["ServerConfig", "IngressQueue", "RuntimeServer", "PROTOCOL",
-           "parse_request_line", "fold_audit_report"]
+__all__ = ["ServerConfig", "IngressQueue", "LocalBackend", "RuntimeServer",
+           "PROTOCOL", "parse_request_line", "fold_audit_report"]
 
 #: One line per op; one typed response line per request (``answers`` lines
 #: cover a whole block).  Shared reference for docs, tests, and the CLI.
@@ -107,26 +131,35 @@ PROTOCOL = {
     "mark": "timing beacon: {op, t}; stamps following requests on this "
             "connection so traced ingress_wait starts at client send",
     "sessions": "paginated live-session listing: {op, limit?, offset?}",
-    "audit": "audit records (archive + live): {op, after_seq?, limit?}",
-    "status": "readiness verdict + accounting totals for this process",
+    "audit": "audit records (archive + live): {op, after_seq?, limit?}; a "
+             "page never ends inside a seq group, so after_seq = its last "
+             "seq resumes it",
+    "status": "readiness verdict (per shard under 'shards') + accounting "
+              "totals summed over shards: sessions_open, sessions_closed, "
+              "audit_records, next_audit_seq, epsilon_spent",
     "trace": "per-stage latency report (requires --trace): {op, slow?}",
     "audit_report": "record empirical-audit results: {op, trials, guesses, "
                     "correct, eps_lb, charged_eps, confidence?, rule?, id?}",
 }
 
-_READLINE_LIMIT = 1 << 24  # 16 MiB: a 1M-item b64 block is ~11 MiB
+#: Ops the front end answers itself, from views over every backend; the
+#: rest are data-plane ops a backend executes.
+FRONT_OPS = frozenset({"metrics", "drain", "status", "sessions", "audit",
+                       "trace", "audit_report"})
+
+#: The accounting totals a ``status`` response sums over shards.
+STATUS_TOTALS = ("sessions_open", "sessions_closed", "audit_records",
+                 "next_audit_seq", "epsilon_spent")
 
 
 def fold_audit_report(metrics, prev: Optional[dict], payload: dict,
                       default_charged: float) -> dict:
     """Fold one cumulative ``audit_report`` payload into *metrics*.
 
-    Shared by the single-process server and the shard router (whose own
-    registry merges unrelabeled into the cross-shard aggregate).  Counters
-    advance by the delta against *prev*; a payload with fewer trials than
-    the previous report is a fresh audit run and counts in full.  Raises
-    ``ValueError``/``KeyError`` on malformed payloads — the dispatchers
-    turn those into typed ``error`` lines.
+    Counters advance by the delta against *prev*; a payload with fewer
+    trials than the previous report is a fresh audit run and counts in
+    full.  Raises ``ValueError``/``KeyError`` on malformed payloads — the
+    front end turns those into typed ``error`` lines.
     """
     trials = int(payload["trials"])
     guesses = int(payload["guesses"])
@@ -160,7 +193,7 @@ def fold_audit_report(metrics, prev: Optional[dict], payload: dict,
         "caught": bool(eps_lb > charged),
     }
 
-#: Retained TTL-eviction records (:attr:`RuntimeServer.expired_tenants`).
+#: Retained TTL-eviction records (:attr:`LocalBackend.expired_tenants`).
 EXPIRY_LOG_LIMIT = 1024
 
 
@@ -390,14 +423,14 @@ def _b64(data: bytes) -> str:
 def parse_request_line(raw: str) -> Tuple[Optional[dict], Optional[dict]]:
     """Decode one wire line into ``(payload, error)``.
 
-    The single framing authority, shared by :meth:`RuntimeServer.ingest_line`
-    and the shard router (which must agree byte-for-byte on what a line
-    means without importing the dispatch machinery).  A blank line returns
-    ``(None, None)`` — the force-drain signal.  Malformed input returns a
-    typed ``error`` response as the second element; legacy ``"tenant item"``
-    framing (the PR 3 CLI) is folded into a ``query`` payload, with parse
-    failures carrying the ``_legacy`` flag so stdio transports can keep the
-    old report-on-stderr contract.
+    The single framing authority, shared by :meth:`LocalBackend.ingest_line`
+    and the sharded front end's router (which must agree byte-for-byte on
+    what a line means).  A blank line returns ``(None, None)`` — the
+    force-drain signal.  Malformed input returns a typed ``error`` response
+    as the second element; legacy ``"tenant item"`` framing (the PR 3 CLI)
+    is folded into a ``query`` payload, with parse failures carrying the
+    ``_legacy`` flag so stdio transports can keep the old report-on-stderr
+    contract.
     """
     line = raw.strip()
     if not line:
@@ -422,24 +455,28 @@ def parse_request_line(raw: str) -> Tuple[Optional[dict], Optional[dict]]:
     return payload, None
 
 
-class RuntimeServer:
-    """Concurrent ingestion in front of one :class:`SVTQueryService`.
+class _FrontOp(dict):
+    """A parsed request for an op in :data:`FRONT_OPS`, handed back by the
+    local backend's dispatcher for the front end to answer."""
 
-    The server owns the service, the ingress queue, the metrics registry,
-    and the drain loop.  TCP mode (:meth:`serve_tcp`) runs the drain loop as
-    a background task; stdio mode (:meth:`serve_stdin`) drains inline after
-    each window/blank line, preserving the old ``repro serve`` semantics
-    while speaking the same protocol.
+
+class LocalBackend:
+    """The in-process drain-loop stack in front of one :class:`SVTQueryService`.
+
+    Owns the service, the durable store, the ingress queue, the metrics
+    registry, the request tracer, and the drain loop — no transports: the
+    front end feeds it request lines (:meth:`ingest_line`) and owns every
+    connection the answers go to.  With a drain loop (:meth:`start_drain_loop`,
+    TCP and Unix transports) draining runs as a background task; without
+    one (stdio) the front end drains inline at window boundaries
+    (:meth:`drain_inline`).
     """
 
-    def __init__(
-        self,
-        supports,
-        config: Optional[ServerConfig] = None,
-        seed: RngLike = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.config = config or ServerConfig()
+    #: Never down: it is this process.
+    down = False
+
+    def __init__(self, supports, config: ServerConfig) -> None:
+        self.config = config
         #: Durable persistence (None = the pre-store in-memory behavior).
         self.store: Optional[DurableStore] = None
         #: :class:`~repro.service.store.RecoveryInfo` when boot replayed one.
@@ -464,17 +501,23 @@ class RuntimeServer:
                         lane.gate_fault = self.config.gate_fault
             else:
                 self.service = SVTQueryService(
-                    supports, seed=self.config.seed if seed is None else seed,
+                    supports, seed=self.config.seed,
                     mode=self.config.mode, gate_fault=self.config.gate_fault,
                 )
                 store.attach(self.service)
             self.store = store
         else:
             self.service = SVTQueryService(
-                supports, seed=self.config.seed if seed is None else seed,
+                supports, seed=self.config.seed,
                 mode=self.config.mode, gate_fault=self.config.gate_fault,
             )
-        self.metrics = metrics or MetricsRegistry()
+        #: What :meth:`start` reports: this process's pid, plus the recovery
+        #: summary when boot replayed durable state.
+        self.ready_info: Dict[str, Any] = {"pid": os.getpid()}
+        if self.recovery is not None:
+            self.ready_info["recovered_sessions"] = self.recovery.sessions
+            self.ready_info["recovery_summary"] = self.recovery.summary()
+        self.metrics = MetricsRegistry()
         self.sampler = RssSampler(self.metrics)
         self.policy = AdaptiveDrainPolicy(
             initial=min(max(self.config.window, self.config.min_window),
@@ -494,8 +537,6 @@ class RuntimeServer:
             if self.config.trace
             else None
         )
-        #: The HTTP admin plane, once started (see :meth:`start_admin`).
-        self.admin: Optional[AdminPlane] = None
         self._drain_task: Optional[asyncio.Task] = None
         #: Monotonic heartbeat the drain loop refreshes every iteration —
         #: the freshness signal behind the admin plane's ``/readyz``.
@@ -503,7 +544,6 @@ class RuntimeServer:
         self._closing = False
         self._force_drain = False
         self._drain_lock = asyncio.Lock()
-        self._conns: List[_Connection] = []
         #: ``(tenant, released epsilon)`` per TTL eviction, most recent
         #: :data:`EXPIRY_LOG_LIMIT` only (a long-running TTL server would
         #: otherwise grow this without bound); set :attr:`on_expire` for a
@@ -532,16 +572,6 @@ class RuntimeServer:
         self._h_fsync = m.histogram("fsync_latency_ms", FSYNC_BUCKETS_MS)
         self._h_recovery = m.histogram("recovery_time_ms", RECOVERY_BUCKETS_MS)
         self._g_wal = m.gauge("store_wal_batches")
-        # Empirical-audit metrics, populated by the ``audit_report`` op (the
-        # ``repro audit-live`` driver posts its running totals here so the
-        # audited bound is scrapeable next to the ledger's charge).
-        self._g_eps_lb = m.gauge("audited_eps_lb")
-        self._g_eps_charged = m.gauge("audit_charged_eps")
-        self._c_audit_trials = m.counter("audit_trials_total")
-        self._c_audit_guesses = m.counter("audit_guesses_total")
-        self._c_audit_correct = m.counter("audit_correct_total")
-        #: The most recent ``audit_report`` payload (behind ``/audit/eps``).
-        self._audit_report: Optional[dict] = None
         if self.recovery is not None:
             self._h_recovery.observe(self.recovery.duration_ms)
             self._g_sessions.set(len(self.service.manager))
@@ -556,7 +586,8 @@ class RuntimeServer:
         Never raises on bad input: malformed JSON, unknown ops, and invalid
         payloads all come back as typed ``error`` responses so one broken
         client line can't take the server down (the crash this replaces was
-        a raw ``json.loads`` traceback unwinding the accept loop).
+        a raw ``json.loads`` traceback unwinding the accept loop).  An op
+        the front end answers comes back as its parsed :class:`_FrontOp`.
         """
         payload, error = parse_request_line(raw)
         if error is not None:
@@ -630,17 +661,6 @@ class RuntimeServer:
                 return None
             if op == "open":
                 return self._handle_open(payload, request_id)
-            if op == "metrics":
-                out = {"type": "metrics", **self.snapshot()}
-                if request_id is not None:
-                    out["id"] = request_id
-                return out
-            if op == "drain":
-                self._force_drain = True
-                out = {"type": "draining", "pending": self.ingress.depth}
-                if request_id is not None:
-                    out["id"] = request_id
-                return out
             if op == "close":
                 # Drain-ordered: eviction must not outrun queries that were
                 # admitted before it, so it rides the ingress queue and the
@@ -654,39 +674,8 @@ class RuntimeServer:
                     return self._error("close refused: ingress full", request_id)
                 entry.conn.pending += 1
                 return None
-            if op == "sessions":
-                out = {"type": "sessions", **self.sessions_view(
-                    limit=int(payload.get("limit", 50)),
-                    offset=int(payload.get("offset", 0)))}
-                if request_id is not None:
-                    out["id"] = request_id
-                return out
-            if op == "audit":
-                out = {"type": "audit", **self.audit_view(
-                    after_seq=int(payload.get("after_seq", -1)),
-                    limit=int(payload.get("limit", 100)))}
-                if request_id is not None:
-                    out["id"] = request_id
-                return out
-            if op == "status":
-                out = {"type": "status", **self.status_view()}
-                if request_id is not None:
-                    out["id"] = request_id
-                return out
-            if op == "audit_report":
-                out = {"type": "audit_report", **self.record_audit_report(payload)}
-                if request_id is not None:
-                    out["id"] = request_id
-                return out
-            if op == "trace":
-                report = self.trace_view(slow_limit=int(payload.get("slow", 32)))
-                if report is None:
-                    return self._error("tracing disabled; start with --trace",
-                                       request_id)
-                out = {"type": "trace", **report}
-                if request_id is not None:
-                    out["id"] = request_id
-                return out
+            if op in FRONT_OPS:
+                return _FrontOp(payload)
             return self._error(f"unknown op {op!r}; known: {sorted(PROTOCOL)}", request_id)
         except (KeyError, TypeError, ValueError, binascii.Error) as exc:
             return self._error(f"invalid {op or 'request'} payload: {exc}", request_id)
@@ -792,10 +781,25 @@ class RuntimeServer:
     # ------------------------------------------------------------------
     # The drain: admitted entries -> batcher -> engine -> responses.
     # ------------------------------------------------------------------
+    def force_drain(self) -> int:
+        """Ask for a drain of everything admitted; returns the queue depth."""
+        self._force_drain = True
+        return self.ingress.depth
+
+    async def drain_inline(self) -> None:
+        """Stdio's drain rule: drain once a drain is forced or a full
+        window is queued (single producer, deterministic boundaries)."""
+        if self._force_drain or self.ingress.depth >= self.config.window:
+            await self.drain_once()
+
     async def drain_once(self, window: Optional[int] = None) -> int:
-        """Run one drain cycle; returns the number of requests served."""
+        """Run one drain cycle, flush the connections it answered, and
+        return the number of requests served."""
         async with self._drain_lock:
-            return self._drain_sync(window)
+            served, answered = self._drain_sync(window)
+        for conn in answered:
+            await conn.flush()
+        return served
 
     def _store_flush(self) -> None:
         """The durability barrier: flush the store, feed the fsync metrics.
@@ -819,7 +823,8 @@ class RuntimeServer:
         except StoreUnavailableError:
             self._c_store_unavailable.add()
 
-    def _drain_sync(self, window: Optional[int] = None) -> int:
+    def _drain_sync(self, window: Optional[int] = None
+                    ) -> Tuple[int, Set[_Connection]]:
         self._force_drain = False
         expired_any = False
         if self.config.session_ttl is not None:
@@ -841,7 +846,7 @@ class RuntimeServer:
         if not entries:
             if expired_any:
                 self._store_flush_quiet()
-            return 0
+            return 0, set()
         start = time.perf_counter()
         # Stage accumulators for the request tracer: _run_segment adds the
         # cohort_form / gate_exec / respond_encode seconds of every segment
@@ -895,7 +900,9 @@ class RuntimeServer:
             except StoreUnavailableError as exc:
                 failure = str(exc)
         t_send = time.perf_counter()
+        answered: Set[_Connection] = set()
         for conn, payload, fallback in outbox:
+            answered.add(conn)
             if failure is not None and fallback is not None:
                 self._c_store_unavailable.add()
                 conn.send({**fallback, "error": f"durable store unavailable: {failure}"})
@@ -918,7 +925,7 @@ class RuntimeServer:
                 tracer, entries, stage_acc, start, t_flush, t_send, t_done, served
             )
         self.drain_beat = time.monotonic()
-        return served
+        return served, answered
 
     def _record_spans(
         self,
@@ -1142,8 +1149,8 @@ class RuntimeServer:
         return served
 
     async def _drain_loop(self) -> None:
-        """TCP mode's consumer: drain whenever a window fills, a force-drain
-        arrives, or the idle flush timer fires with work pending."""
+        """The background consumer: drain whenever a window fills, a
+        force-drain arrives, or the idle flush timer fires with work pending."""
         while True:
             self.drain_beat = time.monotonic()
             if self._closing and not self.ingress.depth:
@@ -1163,24 +1170,66 @@ class RuntimeServer:
                 # up, then flush whatever is there (bounded added latency).
                 await asyncio.sleep(self.config.drain_idle_s)
             await self.drain_once(window)
-            await self._flush_all()
 
-    async def _flush_all(self) -> None:
-        for conn in list(self._conns):
-            await conn.flush()
+    # ------------------------------------------------------------------
+    # Lifecycle.
+    # ------------------------------------------------------------------
+    async def start(self) -> dict:
+        """Bind the ingress queue to the running loop; returns
+        :attr:`ready_info`.  Safe to call once per event loop."""
+        self.ingress.attach(asyncio.get_running_loop())
+        return self.ready_info
 
+    def start_drain_loop(self) -> None:
+        """Run draining as a background task (idempotent)."""
+        if self._drain_task is None:
+            self._drain_task = asyncio.create_task(self._drain_loop())
+
+    async def stop(self) -> None:
+        """Graceful stop: drain dry, end the drain loop, and flush,
+        checkpoint and close the durable store."""
+        self._closing = True
+        while self.ingress.depth:
+            await self.drain_once()
+        task = self._drain_task
+        if task is not None:
+            self.ingress._notify()
+            try:
+                await asyncio.wait_for(task, timeout=5.0)
+            except asyncio.TimeoutError:  # pragma: no cover - defensive
+                task.cancel()
+        self.close_store()
+
+    def close_store(self) -> None:
+        """Flush pending state, checkpoint, and close the durable store.
+
+        Part of every graceful exit: pending audit appends must not die in
+        memory when the process stops on purpose.  Safe without a store,
+        safe to call twice."""
+        if self.store is None:
+            return
+        try:
+            self.store.close()
+        except StoreUnavailableError as exc:  # pragma: no cover - disk failure
+            self._c_store_unavailable.add()
+            print(f"store close failed: {exc}", file=sys.stderr)
+
+    # ------------------------------------------------------------------
+    # Views: this backend's own answers, which the front end serves as is
+    # (one backend) or merges (N shards).
+    # ------------------------------------------------------------------
     #: A drain-loop heartbeat older than this marks the server not-ready:
     #: the loop visits at least every idle interval (<=50 ms), so seconds
     #: of silence mean it is wedged or dead, not merely busy.
     READY_BEAT_STALE_S = 5.0
 
-    def readiness(self) -> Tuple[bool, dict]:
-        """The ``/readyz`` verdict: can this process serve right now?
+    def status_view(self) -> dict:
+        """Readiness verdict plus accounting totals.
 
         Ready means the drain loop's heartbeat is fresh (or no loop exists —
-        stdio/inline mode drains synchronously) and the durable store, when
-        configured, still accepts flushes.  ``/healthz`` stays 200 through
-        all of this — the process is alive; it just shouldn't get traffic.
+        stdio drains inline) and the durable store, when configured, still
+        accepts flushes.  ``/healthz`` stays 200 through all of this — the
+        process is alive; it just shouldn't get traffic.
         """
         detail: Dict[str, Any] = {"closing": self._closing}
         ok = not self._closing
@@ -1205,193 +1254,18 @@ class RuntimeServer:
             ok = False
         else:
             detail["store"] = "ok"
-        return ok, detail
+        manager = self.service.manager
+        return {
+            "ready": ok,
+            **detail,
+            "pid": os.getpid(),
+            "sessions_open": len(manager),
+            "sessions_closed": len(manager.closed_sessions()),
+            "audit_records": len(self.service.audit),
+            "next_audit_seq": manager.audit.next_seq,
+            "epsilon_spent": manager.total_spent(),
+        }
 
-    async def start_admin(
-        self, host: Optional[str] = None, port: Optional[int] = None
-    ) -> Tuple[str, int]:
-        """Start the HTTP admin plane (idempotent); returns its address.
-
-        Runs on the current event loop — call from the same loop the server
-        transports run on, so ``/readyz`` and ``/debug/profile`` observe the
-        loop they share with the drain.
-        """
-        if self.admin is None:
-            self.admin = AdminPlane(
-                self,
-                host=self.config.admin_host if host is None else host,
-                port=(self.config.admin_port or 0) if port is None else port,
-            )
-            await self.admin.start()
-        return self.admin.address
-
-    # ------------------------------------------------------------------
-    # Transports.
-    # ------------------------------------------------------------------
-    async def serve_tcp(self, host: str = "127.0.0.1", port: int = 0):
-        """Start the TCP listener + drain loop; returns the asyncio server.
-
-        The caller owns the lifetime: ``await server.shutdown()`` stops
-        accepting, drains the queue dry, and closes every connection.
-        """
-        self.ingress.attach(asyncio.get_running_loop())
-        if self._drain_task is None:
-            self._drain_task = asyncio.create_task(self._drain_loop())
-        self._tcp_server = await asyncio.start_server(
-            self._handle_client, host, port, limit=_READLINE_LIMIT
-        )
-        if self.config.admin_port is not None:
-            await self.start_admin()
-        return self._tcp_server
-
-    @property
-    def tcp_address(self) -> Tuple[str, int]:
-        sock = self._tcp_server.sockets[0]
-        return sock.getsockname()[:2]
-
-    async def serve_unix(self, path: str):
-        """Unix-domain-socket flavor of :meth:`serve_tcp`: same framing,
-        same drain loop, a filesystem address instead of a port.  This is
-        the data plane a shard worker exposes to the ingress router (see
-        :mod:`repro.service.runtime.shard`); the router's forwarded lines
-        and control calls both land in :meth:`_handle_client` unchanged.
-        """
-        self.ingress.attach(asyncio.get_running_loop())
-        if self._drain_task is None:
-            self._drain_task = asyncio.create_task(self._drain_loop())
-        self._unix_path = str(path)
-        self._unix_server = await asyncio.start_unix_server(
-            self._handle_client, path=str(path), limit=_READLINE_LIMIT
-        )
-        return self._unix_server
-
-    async def _handle_client(self, reader: asyncio.StreamReader, writer) -> None:
-        conn = _Connection(writer=writer, name=str(writer.get_extra_info("peername")))
-        self._conns.append(conn)
-        self.metrics.gauge("connections").set(len(self._conns))
-        try:
-            while True:
-                try:
-                    raw = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError, ValueError) as exc:
-                    conn.send(self._error(f"unreadable frame: {exc}"))
-                    break
-                if not raw:
-                    break
-                response = self.ingest_line(raw.decode("utf-8", "replace"), conn)
-                if response is not None:
-                    response.pop("_legacy", None)
-                    conn.send(response)
-                    await conn.flush()
-        finally:
-            # Answers for this client's still-queued requests must not hit a
-            # closed socket: wait for the drain loop to serve them out.
-            self._force_drain = True
-            while conn.pending and not conn.closed and not self._closing:
-                await self.drain_once()
-            await conn.flush()
-            conn.closed = True
-            if conn in self._conns:
-                self._conns.remove(conn)
-            self.metrics.gauge("connections").set(len(self._conns))
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
-
-    def close_store(self) -> None:
-        """Flush pending state, checkpoint, and close the durable store.
-
-        Part of every graceful exit (both transports): pending audit
-        appends must not die in memory when the process stops on purpose.
-        Safe without a store, safe to call twice."""
-        if self.store is None:
-            return
-        try:
-            self.store.close()
-        except StoreUnavailableError as exc:  # pragma: no cover - disk failure
-            self._c_store_unavailable.add()
-            print(f"store close failed: {exc}", file=sys.stderr)
-
-    async def shutdown(self) -> None:
-        """Graceful stop: refuse new connections, drain dry, flush the
-        durable store, close conns."""
-        self._closing = True
-        if self.admin is not None:
-            await self.admin.close()
-            self.admin = None
-        for attr in ("_tcp_server", "_unix_server"):
-            server = getattr(self, attr, None)
-            if server is not None:
-                server.close()
-                await server.wait_closed()
-        unix_path = getattr(self, "_unix_path", None)
-        if unix_path is not None:
-            try:
-                os.unlink(unix_path)
-            except OSError:
-                pass
-        while self.ingress.depth:
-            await self.drain_once()
-        task = getattr(self, "_drain_task", None)
-        if task is not None:
-            self.ingress._notify()
-            try:
-                await asyncio.wait_for(task, timeout=5.0)
-            except asyncio.TimeoutError:  # pragma: no cover - defensive
-                task.cancel()
-        await self._flush_all()
-        for conn in list(self._conns):
-            conn.closed = True
-            if conn.writer is not None:
-                try:
-                    conn.writer.close()
-                    await conn.writer.wait_closed()
-                except (ConnectionError, RuntimeError):
-                    pass
-        self._conns = []
-        self.close_store()
-
-    async def serve_stdin(self, stdin=None, stdout=None) -> int:
-        """Stdio transport: read request lines, drain at window boundaries.
-
-        Single-producer and deterministic: a blank line or a full window
-        drains inline (in request order), EOF drains whatever remains.
-        Returns the number of requests served.
-        """
-        stdin = stdin if stdin is not None else sys.stdin
-        stdout = stdout if stdout is not None else sys.stdout
-        conn = _Connection(stream=stdout, name="stdin")
-        self._conns.append(conn)
-        self.ingress.attach(asyncio.get_running_loop())
-        if self.config.admin_port is not None and self.admin is None:
-            await self.start_admin()
-        loop = asyncio.get_running_loop()
-        served = 0
-        while True:
-            raw = await loop.run_in_executor(None, stdin.readline)
-            if raw == "":
-                break
-            response = self.ingest_line(raw, conn)
-            if response is not None:
-                if response.pop("_legacy", False):
-                    # Legacy "tenant item" framing reported parse failures on
-                    # stderr; keep that contract for legacy lines only.
-                    print(f"error: {response['error']}", file=sys.stderr)
-                else:
-                    conn.send(response)
-            if self._force_drain or self.ingress.depth >= self.config.window:
-                served += await self.drain_once()
-                await self._flush_all()
-        while self.ingress.depth:
-            served += await self.drain_once()
-        await self._flush_all()
-        return served
-
-    # ------------------------------------------------------------------
-    # Introspection.
-    # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """The metrics snapshot served by the ``metrics`` op."""
         self.sampler.sample()
@@ -1411,10 +1285,6 @@ class RuntimeServer:
         snap["shed_rate"] = round(shed / requests, 6) if requests else 0.0
         return snap
 
-    # The views behind the admin plane and the ``sessions`` / ``audit`` /
-    # ``status`` / ``trace`` ops.  The shard router implements the same
-    # names as coroutines that merge every worker's answer; the admin plane
-    # awaits whatever it gets, so both runtimes share one HTTP surface.
     def sessions_view(self, limit: int = 50, offset: int = 0) -> dict:
         """Paginated live-session listing, sorted by tenant."""
         limit = max(int(limit), 0)
@@ -1473,34 +1343,598 @@ class RuntimeServer:
             "records": [r._asdict() for r in selected],
         }
 
-    def status_view(self) -> dict:
-        """Readiness plus the accounting totals a supervisor wants in one
-        round trip (the shard router polls this per worker)."""
-        ok, detail = self.readiness()
-        manager = self.service.manager
-        return {
-            "ready": ok,
-            **detail,
-            "pid": os.getpid(),
-            "sessions_open": len(manager),
-            "sessions_closed": len(manager.closed_sessions()),
-            "audit_records": len(self.service.audit),
-            "next_audit_seq": manager.audit.next_seq,
-            "epsilon_spent": manager.total_spent(),
-        }
-
     def trace_view(self, slow_limit: int = 32) -> Optional[dict]:
         """The ``/debug/trace`` payload, or None when tracing is off."""
         if self.tracer is None:
             return None
         return self.tracer.report(slow_limit=max(int(slow_limit), 0))
 
-    def slow_view(self, limit: int = 64) -> Optional[dict]:
-        """Just the slow-request exemplar ring, or None when tracing is off."""
-        if self.tracer is None:
+
+class _Client:
+    """One ingress connection: its response sink and, when sharded, its
+    data channels to the shards plus its latest ``mark`` line (replayed
+    onto channels opened later)."""
+
+    __slots__ = ("conn", "legacy_stderr", "channels", "mark")
+
+    def __init__(self, conn: _Connection, legacy_stderr: bool = False) -> None:
+        self.conn = conn
+        self.legacy_stderr = legacy_stderr
+        self.channels: Dict[int, Any] = {}
+        self.mark: Optional[bytes] = None
+
+    def send(self, payload: dict) -> None:
+        if payload.pop("_legacy", False) and self.legacy_stderr:
+            # Legacy "tenant item" framing reported parse failures on
+            # stderr; stdio keeps that contract for legacy lines only.
+            print(f"error: {payload['error']}", file=sys.stderr)
+            return
+        self.conn.send(payload)
+
+    def in_flight(self) -> int:
+        """Responses still owed on live channels (a dead shard owes none)."""
+        return sum(chan.sent - chan.received
+                   for chan in self.channels.values() if not chan.closed)
+
+
+#: Worst-last orders for folding per-shard readiness into one verdict.
+_DRAIN_LOOP_STATES = ("inline", "ok", "stalled", "dead")
+_STORE_STATES = ("none", "ok", "closed")
+
+
+class RuntimeServer:
+    """The front end of ``repro serve``, over one backend or N shards.
+
+    ``shards=1`` (the default) runs one in-process :class:`LocalBackend`
+    (:attr:`local`): request lines go straight to its dispatcher and its
+    views are served as they are.  ``shards=N`` runs N worker processes
+    (:attr:`backends`, each a :class:`RemoteBackend`) behind a consistent-
+    hash :class:`HashRing`: tenant ops are forwarded verbatim to their
+    shard, view ops answered by merging every live shard's view.  Either
+    way this class alone owns the transports (:meth:`serve_tcp`,
+    :meth:`serve_stdin`, :meth:`serve_unix`), client handling, the admin
+    plane (:meth:`start_admin`), :meth:`shutdown`, and the response of
+    every op the front end answers (:data:`FRONT_OPS`).
+    """
+
+    def __init__(self, supports, config: Optional[ServerConfig] = None,
+                 shards: int = 1) -> None:
+        self.config = config or ServerConfig()
+        self.num_shards = int(shards)
+        if self.num_shards < 1:
+            raise ValueError("shards must be >= 1")
+        self.decommissioned: Set[int] = set()
+        self.runtime_dir: Optional[str] = None
+        if self.num_shards == 1:
+            #: The in-process backend (None when sharded).
+            self.local: Optional[LocalBackend] = LocalBackend(supports, self.config)
+            self.backends: Dict[int, Union[LocalBackend, RemoteBackend]] = {
+                0: self.local}
+            self.ring: Optional[HashRing] = None
+            self.metrics = self.local.metrics
+        else:
+            self.local = None
+            self.ring = HashRing(range(self.num_shards))
+            # Unix socket paths must stay under ~107 bytes, so the sockets
+            # live in their own short-lived tmp dir, never under state_dir.
+            self.runtime_dir = tempfile.mkdtemp(prefix="repro-shards-")
+            ctx = multiprocessing.get_context("spawn")
+            supports = np.ascontiguousarray(supports, dtype=float)
+            self.backends = {
+                k: RemoteBackend(k, supports, self.config,
+                                 os.path.join(self.runtime_dir, f"s{k}"), ctx)
+                for k in range(self.num_shards)
+            }
+            self.metrics = MetricsRegistry()
+            self.sampler = RssSampler(self.metrics)
+            self._c_routed = self.metrics.counter("router_requests_total")
+            self._c_unavailable = self.metrics.counter("router_unavailable_total")
+            self._g_shards = self.metrics.gauge("router_shards_alive")
+        sharded = self.local is None
+        self._c_errors = self.metrics.counter(
+            "router_errors_total" if sharded else "errors_total")
+        self._g_clients = self.metrics.gauge(
+            "router_clients" if sharded else "connections")
+        # Empirical-audit metrics, fed by the ``audit_report`` op (the
+        # ``repro audit-live`` driver posts its running totals here so the
+        # audited bound is scrapeable next to the ledger's charge).  Canary
+        # tenants hash onto many shards, so the audit belongs to the front
+        # end: sharded, these series merge unrelabeled into /metrics.
+        for name in ("audit_trials_total", "audit_guesses_total",
+                     "audit_correct_total"):
+            self.metrics.counter(name)
+        for name in ("audited_eps_lb", "audit_charged_eps"):
+            self.metrics.gauge(name)
+        #: The most recent ``audit_report`` payload (behind ``/audit/eps``).
+        self._audit_report: Optional[dict] = None
+        #: The HTTP admin plane, once started (see :meth:`start_admin`).
+        self.admin: Optional[AdminPlane] = None
+        self._clients: Set[_Client] = set()
+        self._listeners: List[asyncio.AbstractServer] = []
+        self._tcp_server: Optional[asyncio.AbstractServer] = None
+        self._unix_path: Optional[str] = None
+        self._closing = False
+        #: The metrics view :meth:`shutdown` takes once every backend has
+        #: stopped (the CLI summary and bench harnesses read it).
+        self.final_snapshot: Optional[dict] = None
+
+    # ------------------------------------------------------------------
+    # Lifecycle.
+    # ------------------------------------------------------------------
+    def live_shards(self) -> List[int]:
+        return [k for k, b in sorted(self.backends.items())
+                if not b.down and k not in self.decommissioned]
+
+    async def start(self) -> Dict[int, dict]:
+        """Boot the backends and, when configured, the admin plane.
+
+        Spawns the shard workers and waits until each reports ready —
+        recovery included, so a front end that says ready can serve every
+        recovered tenant.  Idempotent; returns each shard's ready info
+        (pid, plus ``recovery_summary`` when boot replayed durable state).
+        """
+        if self.local is None and self.config.state_dir is not None:
+            os.makedirs(self.config.state_dir, exist_ok=True)
+        shards = [k for k in sorted(self.backends) if k not in self.decommissioned]
+        infos = await asyncio.gather(*(self.backends[k].start() for k in shards))
+        if self.config.admin_port is not None:
+            await self.start_admin()
+        return dict(zip(shards, infos))
+
+    async def start_admin(
+        self, host: Optional[str] = None, port: Optional[int] = None
+    ) -> Tuple[str, int]:
+        """Start the HTTP admin plane (idempotent); returns its address.
+
+        Runs on the current event loop — call from the same loop the
+        transports run on, so ``/readyz`` and ``/debug/profile`` observe the
+        loop they share with the drain.
+        """
+        if self.admin is None:
+            self.admin = AdminPlane(
+                self,
+                host=self.config.admin_host if host is None else host,
+                port=(self.config.admin_port or 0) if port is None else port,
+            )
+            await self.admin.start()
+        return self.admin.address
+
+    async def shutdown(self) -> None:
+        """Graceful stop: refuse new connections, answer everything already
+        queued, stop the backends (each flushes and closes its durable
+        store), take :attr:`final_snapshot`, and close the connections."""
+        if self._closing:
+            return
+        self._closing = True
+        if self.admin is not None:
+            await self.admin.close()
+            self.admin = None
+        for server in self._listeners:
+            server.close()
+            await server.wait_closed()
+        self._listeners = []
+        if self._unix_path is not None:
+            try:
+                os.unlink(self._unix_path)
+            except OSError:
+                pass
+        for client in list(self._clients):
+            await self._finish(client)
+        await asyncio.gather(*(backend.stop() for backend in self.backends.values()))
+        self.final_snapshot = await self.snapshot()
+        for client in list(self._clients):
+            client.conn.closed = True
+            if client.conn.writer is not None:
+                try:
+                    client.conn.writer.close()
+                    await client.conn.writer.wait_closed()
+                except (ConnectionError, RuntimeError):
+                    pass
+        if self.runtime_dir is not None:
+            shutil.rmtree(self.runtime_dir, ignore_errors=True)
+
+    async def restart_shard(self, shard: int) -> dict:
+        """Respawn one worker; recovery replays its ``shard-K`` state.
+
+        The typed-``unavailable`` degradation window for the shard's tenants
+        ends here: placement never changed (the ring is untouched), so the
+        recovered sessions serve again exactly where they were.
+        """
+        if shard in self.decommissioned:
+            raise ValueError(f"shard {shard} was decommissioned")
+        backend = self.backends[shard]
+        await backend.stop()
+        self._drop_channels(shard)
+        return await backend.start()
+
+    async def decommission(self, shard: int) -> Dict[str, float]:
+        """Shard-aware eviction: retire *shard*, rehash its tenants away.
+
+        Ring first (new traffic reroutes immediately), then close every
+        session on the leaving shard — releasing unspent budget into its
+        audit log — then stop the worker.  Returns ``{tenant: released}``.
+        Tenants whose placement did not point at *shard* are untouched (the
+        consistent-hash no-movement property); the evicted tenants' next
+        request lands on a survivor as a fresh session/epoch.
+        """
+        if shard in self.decommissioned or shard not in self.backends:
+            raise ValueError(f"no live shard {shard}")
+        if self.ring is None or len(self.ring) <= 1:
+            raise ValueError("cannot decommission the last shard")
+        self.ring = self.ring.without(shard)
+        backend = self.backends[shard]
+        released: Dict[str, float] = {}
+        view = await backend.view("sessions", limit=1_000_000, offset=0)
+        for entry in (view or {}).get("sessions", []):
+            response = await backend.call({"op": "close", "tenant": entry["tenant"]})
+            if response is not None and response.get("type") == "closed":
+                released[entry["tenant"]] = response.get("released", 0.0)
+        await backend.stop()
+        self.decommissioned.add(shard)
+        self._drop_channels(shard)
+        return released
+
+    def _drop_channels(self, shard: int) -> None:
+        for client in self._clients:
+            chan = client.channels.pop(shard, None)
+            if chan is not None and not chan.closed:
+                chan.close()
+
+    # ------------------------------------------------------------------
+    # Transports and client handling.
+    # ------------------------------------------------------------------
+    async def serve_tcp(self, host: str = "127.0.0.1", port: int = 0):
+        """Start the TCP listener (plus the drain loop or the shard
+        workers); returns the asyncio server.
+
+        The caller owns the lifetime: ``await server.shutdown()`` stops
+        accepting, answers everything queued, and closes every connection.
+        """
+        await self._serve_prepare()
+        self._tcp_server = await asyncio.start_server(
+            self._handle_client, host, port, limit=_READLINE_LIMIT
+        )
+        self._listeners.append(self._tcp_server)
+        return self._tcp_server
+
+    @property
+    def tcp_address(self) -> Tuple[str, int]:
+        sock = self._tcp_server.sockets[0]
+        return sock.getsockname()[:2]
+
+    async def serve_unix(self, path: str):
+        """Unix-domain-socket flavor of :meth:`serve_tcp`: same framing, a
+        filesystem address instead of a port.  This is the data plane a
+        shard worker exposes to the front end that spawned it."""
+        await self._serve_prepare()
+        self._unix_path = str(path)
+        server = await asyncio.start_unix_server(
+            self._handle_client, path=str(path), limit=_READLINE_LIMIT
+        )
+        self._listeners.append(server)
+        return server
+
+    async def _serve_prepare(self) -> None:
+        await self.start()
+        if self.local is not None:
+            self.local.start_drain_loop()
+
+    async def serve_stdin(self, stdin=None, stdout=None) -> None:
+        """Stdio transport: read request lines until EOF, then answer
+        everything still queued.
+
+        Single-producer and deterministic: every request line yields its
+        response line and a blank line force-drains.  With one backend a
+        blank line or a full window drains inline, in request order; with
+        shards, lines of different tenants may interleave across shards
+        while per-tenant order holds.
+        """
+        stdin = stdin if stdin is not None else sys.stdin
+        stdout = stdout if stdout is not None else sys.stdout
+        await self.start()
+        client = self._connect(_Connection(stream=stdout, name="stdin"),
+                               legacy_stderr=True)
+        loop = asyncio.get_running_loop()
+        try:
+            while True:
+                raw = await loop.run_in_executor(None, stdin.readline)
+                if raw == "":
+                    break
+                await self._ingest(client, raw.encode())
+                if self.local is not None:
+                    await self.local.drain_inline()
+        finally:
+            await self._finish(client)
+            self._disconnect(client)
+
+    async def _handle_client(self, reader: asyncio.StreamReader, writer) -> None:
+        client = self._connect(
+            _Connection(writer=writer, name=str(writer.get_extra_info("peername")))
+        )
+        try:
+            while True:
+                try:
+                    raw = await reader.readline()
+                except (ConnectionError, asyncio.LimitOverrunError, ValueError) as exc:
+                    client.send(self._error(f"unreadable frame: {exc}"))
+                    break
+                if not raw:
+                    break
+                await self._ingest(client, raw)
+        finally:
+            await self._finish(client)
+            self._disconnect(client)
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (ConnectionError, RuntimeError):
+                pass
+
+    def _connect(self, conn: _Connection, legacy_stderr: bool = False) -> _Client:
+        client = _Client(conn, legacy_stderr)
+        self._clients.add(client)
+        self._g_clients.set(len(self._clients))
+        return client
+
+    def _disconnect(self, client: _Client) -> None:
+        self._clients.discard(client)
+        self._g_clients.set(len(self._clients))
+
+    async def _finish(self, client: _Client) -> None:
+        """Wait out the client's queued work, so no answer it is owed hits
+        a closed socket, then close its shard channels."""
+        conn = client.conn
+        if self.local is not None:
+            self.local.force_drain()
+            while conn.pending and not conn.closed:
+                await self.local.drain_once()
+        elif client.in_flight():
+            await self.force_drain()
+            deadline = time.monotonic() + 30.0
+            while client.in_flight() and time.monotonic() < deadline:
+                await asyncio.sleep(0.005)
+        for chan in client.channels.values():
+            chan.close()
+        for chan in client.channels.values():
+            try:
+                await asyncio.wait_for(chan.pump, timeout=5.0)
+            except asyncio.TimeoutError:  # pragma: no cover - defensive
+                chan.pump.cancel()
+        await conn.flush()
+
+    async def _ingest(self, client: _Client, raw: bytes) -> None:
+        """Handle one request line and send its immediate response, if any
+        (queries answer later: from the drain, or pumped back from a shard)."""
+        if self.local is not None:
+            response = self.local.ingest_line(raw.decode("utf-8", "replace"),
+                                              client.conn)
+            if type(response) is _FrontOp:
+                response = await self._front_op(response)
+        else:
+            response = await self._route(client, raw)
+        if response is not None:
+            client.send(response)
+            await client.conn.flush()
+
+    async def _route(self, client: _Client, raw: bytes) -> Optional[dict]:
+        """Sharded ingest: parse just enough, forward tenant ops verbatim."""
+        payload, error = parse_request_line(raw.decode("utf-8", "replace"))
+        if error is not None:
+            self._c_errors.add()
+            return error
+        if payload is None:  # blank line: the force-drain signal
+            await self.force_drain()
             return None
-        return {"slow_threshold_ms": self.tracer.slow_ms,
-                "slow": self.tracer.slow(max(int(limit), 0))}
+        op = payload.get("op")
+        if op in FRONT_OPS:
+            return await self._front_op(payload)
+        if not raw.endswith(b"\n"):
+            raw += b"\n"
+        if op == "mark":
+            # Validated here because a forwarded *bad* mark would make every
+            # worker emit an error line the accounting never charged for; a
+            # good mark yields no response and replays onto late channels.
+            try:
+                float(payload["t"])
+            except (KeyError, TypeError, ValueError) as exc:
+                return self._error(f"invalid mark payload: {exc}", payload.get("id"))
+            client.mark = raw
+            for chan in client.channels.values():
+                if not chan.closed:
+                    chan.writer.write(raw)
+            return None
+        # Tenant ops — and ops a worker rejects (an unknown op, a query with
+        # no tenant) — route to a shard: the worker's dispatcher is the one
+        # authority on payload validity, so its typed errors come back
+        # verbatim.  A missing tenant routes to the ring's "" slot.
+        tenant = payload.get("tenant")
+        shard = self.ring.shard_for("" if tenant is None else str(tenant))
+        self._c_routed.add()
+        chan = client.channels.get(shard)
+        if chan is None or chan.closed:
+            chan = await self.backends[shard].open_channel(client.conn, client.mark)
+            if chan is not None:
+                client.channels[shard] = chan
+        if chan is None:
+            self._c_unavailable.add()
+            out: Dict[str, Any] = {
+                "type": "unavailable",
+                "shard": shard,
+                "error": f"shard {shard} unavailable",
+            }
+            if tenant is not None:
+                out["tenant"] = tenant
+            if payload.get("id") is not None:
+                out["id"] = payload["id"]
+            return out
+        chan.sent += 1
+        chan.writer.write(raw)
+        await chan.writer.drain()
+        return None
+
+    def _error(self, message: str, request_id=None) -> dict:
+        self._c_errors.add()
+        out = {"type": "error", "error": message}
+        if request_id is not None:
+            out["id"] = request_id
+        return out
+
+    async def _front_op(self, payload: dict) -> dict:
+        """The response to one :data:`FRONT_OPS` request — the only place
+        these responses are built, at every shard count."""
+        op = payload.get("op")
+        request_id = payload.get("id")
+        try:
+            if op == "metrics":
+                out = {"type": "metrics", **(await self.snapshot())}
+            elif op == "drain":
+                out = {"type": "draining", "pending": await self.force_drain()}
+            elif op == "status":
+                out = {"type": "status", **(await self.status_view())}
+            elif op == "sessions":
+                out = {"type": "sessions", **(await self.sessions_view(
+                    limit=int(payload.get("limit", 50)),
+                    offset=int(payload.get("offset", 0))))}
+            elif op == "audit":
+                out = {"type": "audit", **(await self.audit_view(
+                    after_seq=int(payload.get("after_seq", -1)),
+                    limit=int(payload.get("limit", 100))))}
+            elif op == "audit_report":
+                out = {"type": "audit_report", **self.record_audit_report(payload)}
+            else:  # trace
+                report = await self.trace_view(slow_limit=int(payload.get("slow", 32)))
+                if report is None:
+                    return self._error("tracing disabled; start with --trace",
+                                       request_id)
+                out = {"type": "trace", **report}
+        except (KeyError, TypeError, ValueError) as exc:
+            return self._error(f"invalid {op} payload: {exc}", request_id)
+        if request_id is not None:
+            out["id"] = request_id
+        return out
+
+    # ------------------------------------------------------------------
+    # Views, behind the view ops and the admin plane: the local backend's
+    # own with one backend, merged over the live shards otherwise.
+    # ------------------------------------------------------------------
+    async def _per_shard(self, op: str, **args) -> Dict[int, dict]:
+        shards = self.live_shards()
+        views = await asyncio.gather(*(self.backends[k].view(op, **args)
+                                       for k in shards))
+        return {k: v for k, v in zip(shards, views) if v is not None}
+
+    async def snapshot(self) -> dict:
+        """The metrics snapshot served by the ``metrics`` op and ``/metrics``."""
+        if self.local is not None:
+            return self.local.snapshot()
+        self.sampler.sample()
+        self._g_shards.set(len(self.live_shards()))
+        per = await self._per_shard("metrics")
+        sections = {
+            k: {s: v.get(s, {}) for s in ("counters", "gauges", "histograms")}
+            for k, v in per.items()
+        }
+        snap = merge_snapshots(sections, self.metrics.snapshot())
+        snap["shards"] = {
+            "count": self.num_shards,
+            "alive": self.live_shards(),
+            "down": [k for k, b in sorted(self.backends.items())
+                     if b.down and k not in self.decommissioned],
+            "decommissioned": sorted(self.decommissioned),
+        }
+        return snap
+
+    async def status_view(self) -> dict:
+        """The ``status`` op: readiness plus accounting totals.
+
+        Ready iff the front end is not closing and every non-retired shard
+        is ready; ``shards`` holds each shard's own verdict, ``drain_loop``
+        and ``store`` the worst of them, and the totals are sums over the
+        shards that answered.  One backend is shard 0.
+        """
+        if self.local is not None:
+            per = {0: self.local.status_view()}
+        else:
+            per = await self._per_shard("status")
+        ready = not self._closing
+        shards: Dict[str, dict] = {}
+        for k, backend in sorted(self.backends.items()):
+            status = per.get(k)
+            if k in self.decommissioned:
+                shards[str(k)] = {"state": "decommissioned"}
+            elif status is None:
+                shards[str(k)] = {"ready": False, "state": "down", "pid": backend.pid}
+                ready = False
+            else:
+                shards[str(k)] = {key: status[key]
+                                  for key in ("ready", "drain_loop", "store", "pid")}
+                ready = ready and bool(status["ready"])
+        answered = list(per.values())
+        out: Dict[str, Any] = {
+            "ready": ready,
+            "closing": self._closing,
+            "drain_loop": max((s["drain_loop"] for s in answered),
+                              key=_DRAIN_LOOP_STATES.index, default="dead"),
+            "store": max((s["store"] for s in answered),
+                         key=_STORE_STATES.index, default="none"),
+        }
+        ages = [s["drain_beat_age_s"] for s in answered if "drain_beat_age_s" in s]
+        if ages:
+            out["drain_beat_age_s"] = max(ages)
+        out["pid"] = os.getpid()
+        out["shards"] = shards
+        for key in STATUS_TOTALS:
+            out[key] = sum(s[key] for s in answered)
+        return out
+
+    async def readiness(self) -> Tuple[bool, dict]:
+        """The ``/readyz`` verdict and its detail (see :meth:`status_view`)."""
+        detail = await self.status_view()
+        return detail.pop("ready"), detail
+
+    async def force_drain(self) -> int:
+        """Force every backend to drain; returns the summed pending depth."""
+        if self.local is not None:
+            return self.local.force_drain()
+        per = await self._per_shard("drain")
+        return int(sum(v.get("pending", 0) for v in per.values()))
+
+    async def sessions_view(self, limit: int = 50, offset: int = 0) -> dict:
+        """Paginated live-session listing, sorted by tenant (sharded: each
+        entry tagged with its shard)."""
+        if self.local is not None:
+            return self.local.sessions_view(limit=limit, offset=offset)
+        limit = max(int(limit), 0)
+        offset = max(int(offset), 0)
+        per = await self._per_shard("sessions", limit=offset + limit, offset=0)
+        return merge_sessions(per, limit, offset)
+
+    async def audit_view(self, after_seq: int = -1, limit: int = 100) -> dict:
+        """Audit records after *after_seq* (sharded: seq-merged, each tagged
+        with its shard; see :func:`merge_audit` for paging)."""
+        if self.local is not None:
+            return self.local.audit_view(after_seq=after_seq, limit=limit)
+        after_seq = int(after_seq)
+        limit = max(int(limit), 0)
+        per = await self._per_shard("audit", after_seq=after_seq, limit=limit)
+        return merge_audit(per, after_seq, limit)
+
+    async def trace_view(self, slow_limit: int = 32) -> Optional[dict]:
+        """The ``/debug/trace`` payload, or None when tracing is off."""
+        if self.local is not None:
+            return self.local.trace_view(slow_limit=slow_limit)
+        if not self.config.trace:
+            return None
+        per = await self._per_shard("trace", slow=int(slow_limit))
+        return merge_trace([per[k] for k in sorted(per)], slow_limit)
+
+    async def slow_view(self, limit: int = 64) -> Optional[dict]:
+        """Just the slow-request exemplar ring, or None when tracing is off."""
+        report = await self.trace_view(slow_limit=limit)
+        if report is None:
+            return None
+        return {"slow_threshold_ms": report["slow_threshold_ms"],
+                "slow": report["slow"]}
 
     def record_audit_report(self, payload: dict) -> dict:
         """Fold one ``audit_report`` op into the metrics and the view.

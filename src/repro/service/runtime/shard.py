@@ -1,27 +1,28 @@
-"""The sharded multi-process runtime: per-core drain loops behind a
-consistent-hash ingress router.
+"""The sharded backend: N worker processes behind the front end's hash ring.
 
-The single-process :class:`~repro.service.runtime.server.RuntimeServer` tops
-out where one core does: its asyncio ingress, drain loop, and NumPy gate
-kernels share a GIL and a CPU, and the traced 8-client bench shows the
-client p50 is almost entirely ``ingress_wait`` — the engine is starved
-behind one queue, not slow.  This module partitions for scale, the core
-idiom of the LSST/Qserv design (PAPERS.md): tenants are consistent-hashed
-onto N **worker processes**, each owning a complete single-shard stack —
-its own :class:`RequestBatcher`, drain loop, :class:`AdaptiveDrainPolicy`,
+One :class:`~repro.service.runtime.server.RuntimeServer` front end serves
+``repro serve`` at every shard count.  With ``--shards 1`` it drives one
+in-process :class:`~repro.service.runtime.server.LocalBackend`; with
+``--shards N`` it drives the N :class:`RemoteBackend` workers this module
+defines.  The single-process stack tops out where one core does — its
+asyncio ingress, drain loop, and NumPy gate kernels share a GIL and a CPU —
+so sharding partitions for scale, the core idiom of the LSST/Qserv design
+(PAPERS.md): tenants are consistent-hashed onto N **worker processes**, each
+running the very same front end over its own local backend — its own
+:class:`RequestBatcher`, drain loop, :class:`AdaptiveDrainPolicy`,
 :class:`MetricsRegistry`, and (with ``state_dir``) a private
-:class:`DurableStore`/:class:`AuditLog` under ``state_dir/shard-K/`` — so
-the hot path of every shard runs exactly the battle-tested single-process
-code on its own core.
+:class:`DurableStore`/:class:`AuditLog` under ``state_dir/shard-K/``.
 
-**Topology.**  A thin asyncio **ingress router** (:class:`ShardedServer`)
-accepts client TCP/stdio connections, parses each JSONL line just far
-enough to learn ``(op, tenant)``, and forwards the raw line bytes verbatim
-over a per-client Unix-domain-socket channel to the owning shard; worker
-responses pump back whole-line-atomically onto the client socket.  The
-router holds **no admission queue**: backpressure and shedding happen only
-at each worker's :class:`IngressQueue`, so an overloaded request is counted
-(and answered ``overloaded``) exactly once, never once per hop.
+**Topology.**  The front end parses each JSONL line just far enough to learn
+``(op, tenant)`` and forwards the raw line bytes verbatim over a per-client
+Unix-domain-socket channel to the owning worker; worker responses pump back
+whole-line-atomically onto the client socket.  The front end holds **no
+admission queue**: backpressure and shedding happen only at each worker's
+:class:`IngressQueue`, so an overloaded request is counted (and answered
+``overloaded``) exactly once, never once per hop.  View ops (``metrics``,
+``status``, ``sessions``, ``audit``, ``trace``, ``drain``) ride a separate
+per-worker control channel, and the front end merges the answers with the
+``merge_*`` functions below.
 
 **Why the semantics survive sharding.**  A tenant's derived noise streams
 are a pure function of ``(seed, tenant, epoch)`` — independent of which
@@ -30,69 +31,49 @@ process evaluates them or what other tenants share its cohort (in
 one ordered channel.  Per-tenant responses are therefore **bit-identical**
 to the single-process runtime, modulo one process-local diagnostic: the
 ``ticket`` admission sequence number, which is the serving worker's, not a
-global one (a router-coordinated ticket would serialize every shard on a
-shared counter).  Enforced in ``tests/service/test_sharding.py``.
+global one (a front-end-coordinated ticket would serialize every shard on
+a shared counter).  Enforced in ``tests/service/test_sharding.py``.
 ``shared`` mode keeps its documented cohort-composition dependence:
 identical semantics, different draws.
 
-**Operations.**  The admin plane mounts unchanged on the router: it merges
-every worker's view — summed counters, bucket-merged histograms with
-re-interpolated quantiles, ``shard="K"``-labeled series next to unlabeled
-aggregates, seq-merged audit records, tenant-sorted session listings — via
-the same view-method names the single-process server implements
-synchronously.  Readiness gates on **all** shards ready; recovery stays
+**Operations.**  Readiness gates on **all** shards ready; recovery stays
 per-shard (each worker replays its own ``shard-K`` state on boot); a dead
 worker degrades its tenants to typed ``unavailable`` responses while every
-other shard keeps serving, until :meth:`ShardedServer.restart_shard`
-replays it back.  :meth:`ShardedServer.decommission` is shard-aware
-eviction: close the shard's sessions (releasing unspent budget), drop it
-from the hash ring, stop the worker — its tenants rehash onto the
-survivors while every other tenant's placement is untouched (an exact
-property of consistent hashing, tested).
+other shard keeps serving, until the front end's ``restart_shard`` replays
+it back.  ``decommission`` is shard-aware eviction: close the shard's
+sessions (releasing unspent budget), drop it from the hash ring, stop the
+worker — its tenants rehash onto the survivors while every other tenant's
+placement is untouched (an exact property of consistent hashing, tested).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import multiprocessing
 import os
-import shutil
-import sys
-import tempfile
 import threading
 import time
 from bisect import bisect_right
 from dataclasses import replace
 from hashlib import blake2b
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.service.observability.httpadmin import AdminPlane
-from repro.service.runtime.metrics import (
-    MetricsRegistry,
-    RssSampler,
-    metric_key,
-    parse_metric_key,
-)
-from repro.service.runtime.server import (
-    _READLINE_LIMIT,
-    PROTOCOL,
-    RuntimeServer,
-    ServerConfig,
-    _Connection,
-    fold_audit_report,
-    parse_request_line,
-)
+from repro.service.runtime.metrics import metric_key, parse_metric_key
 
 __all__ = [
     "HashRing",
-    "ShardedServer",
-    "ShardWorker",
+    "RemoteBackend",
     "merge_snapshots",
     "merge_histogram_snapshots",
+    "merge_sessions",
+    "merge_audit",
+    "merge_trace",
 ]
+
+#: The longest request or response line any transport accepts (16 MiB: a
+#: 1M-item b64 block is ~11 MiB).  Client sockets and the worker channels
+#: carry the same frames, so they share one limit.
+_READLINE_LIMIT = 1 << 24
 
 #: Virtual nodes per shard on the hash ring.  64 points per shard keeps the
 #: max/min tenant-share ratio under ~1.6 at 4 shards while the ring stays
@@ -103,20 +84,14 @@ RING_REPLICAS = 64
 #: (recovery replay of a large shard-K state dominates this).
 WORKER_READY_TIMEOUT_S = 120.0
 
-#: Ops the router answers itself, by merging every worker's view.  A
-#: tenant-less op that is *not* in this set is routed to a deterministic
-#: shard so the worker's canonical error response comes back unchanged.
-ROUTER_OPS = frozenset({"metrics", "drain", "status", "sessions", "audit",
-                        "trace", "audit_report"})
-
 
 class HashRing:
     """Consistent tenant->shard placement with virtual nodes.
 
     Hashing is :func:`hashlib.blake2b` (not Python's salted ``hash``), so
     placement is identical across processes, runs, and interpreter
-    restarts — the property that lets a rebooted router route straight to
-    the shard whose durable state holds each tenant.  Removing a shard
+    restarts — the property that lets a rebooted front end route straight
+    to the shard whose durable state holds each tenant.  Removing a shard
     (:meth:`without`) moves **only** that shard's tenants: every surviving
     ring point keeps its position, so a tenant whose successor point
     survives keeps its placement exactly (tested, not just asserted).
@@ -157,22 +132,22 @@ class HashRing:
 
 
 # ----------------------------------------------------------------------
-# The worker process: one full single-shard stack on a Unix socket.
+# The worker process: the same front end over one local backend.
 # ----------------------------------------------------------------------
-def _shard_worker_main(shard: int, supports, config: ServerConfig,
-                       socket_path: str, conn) -> None:
-    """Spawn target: run one shard's RuntimeServer until told to stop.
+def _shard_worker_main(shard: int, supports, config, socket_path: str,
+                       conn) -> None:
+    """Spawn target: serve one shard on a Unix socket until told to stop.
 
-    *conn* is the control pipe to the router: the worker sends one ready
+    *conn* is the control pipe to the front end: the worker sends one ready
     message (with its pid and recovery summary) after it is listening, then
-    blocks on commands.  Pipe EOF means the router died — the worker shuts
-    down gracefully rather than orphaning itself.
+    blocks on commands.  Pipe EOF means the front end died — the worker
+    shuts down gracefully rather than orphaning itself.
     """
     import signal
 
-    # The router owns Ctrl-C: a terminal SIGINT reaches the whole process
+    # The front end owns Ctrl-C: a terminal SIGINT reaches the whole process
     # group, and racing KeyboardInterrupt tracebacks in workers would tear
-    # connections the router is still draining.  Workers exit on command.
+    # connections the front end is still draining.  Workers exit on command.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         asyncio.run(_shard_worker_async(shard, supports, config, socket_path, conn))
@@ -180,51 +155,144 @@ def _shard_worker_main(shard: int, supports, config: ServerConfig,
         pass
 
 
-async def _shard_worker_async(shard: int, supports, config: ServerConfig,
-                              socket_path: str, conn) -> None:
+async def _shard_worker_async(shard: int, supports, config, socket_path: str,
+                              conn) -> None:
+    # Imported here, not at the top: server.py imports this module.
+    from repro.service.runtime.server import RuntimeServer
+
     server = RuntimeServer(supports, config)
+    info = (await server.start())[0]
     await server.serve_unix(socket_path)
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
 
     def watch() -> None:
         try:
-            conn.recv()  # any command (or router death) means: stop
+            conn.recv()  # any command (or front-end death) means: stop
         except (EOFError, OSError):
             pass
         loop.call_soon_threadsafe(stop.set)
 
     threading.Thread(target=watch, daemon=True, name=f"shard-{shard}-ctl").start()
-    ready: Dict[str, Any] = {"ready": True, "shard": shard, "pid": os.getpid()}
-    if server.recovery is not None:
-        ready["recovered_sessions"] = server.recovery.sessions
-        ready["recovery_summary"] = server.recovery.summary()
-    conn.send(ready)
+    conn.send({"ready": True, "shard": shard, **info})
     await stop.wait()
     await server.shutdown()
+    # Last words: the front end answers status and metrics for a stopped
+    # shard from these (the CLI's end-of-run summary reads them).
     try:
-        conn.send({"stopped": True, "shard": shard})
-    except (BrokenPipeError, OSError):  # pragma: no cover - router gone
+        conn.send({"stopped": True, "shard": shard,
+                   "status": await server.status_view(),
+                   "metrics": server.final_snapshot})
+    except (BrokenPipeError, OSError):  # pragma: no cover - front end gone
         pass
 
 
-class ShardWorker:
-    """Router-side handle on one worker: process, control pipe, socket."""
+class _ControlChannel:
+    """One serialized request/response lane to a worker, for view ops.
 
-    def __init__(self, shard: int, supports, config: ServerConfig,
-                 socket_path: str, ctx) -> None:
+    Control traffic (metrics, drain, status, listings) rides its own Unix
+    connection per shard so it can never interleave with — or be stalled
+    behind — a client's data channel.  A lock serializes calls because the
+    protocol pairs one response line to one request line.
+    """
+
+    def __init__(self, reader: asyncio.StreamReader, writer) -> None:
+        self.reader = reader
+        self.writer = writer
+        self.lock = asyncio.Lock()
+        self.closed = False
+
+    async def call(self, payload: dict) -> dict:
+        async with self.lock:
+            self.writer.write(
+                (json.dumps(payload, separators=(",", ":")) + "\n").encode()
+            )
+            await self.writer.drain()
+            line = await self.reader.readline()
+        if not line:
+            self.closed = True
+            raise ConnectionError("control channel closed")
+        return json.loads(line)
+
+    def close(self) -> None:
+        self.closed = True
+        try:
+            self.writer.close()
+        except RuntimeError:  # pragma: no cover - loop already gone
+            pass
+
+
+class _Channel:
+    """One client's data channel to one shard, with line accounting.
+
+    ``sent`` counts forwarded request lines that owe a response line
+    (everything except ``mark``); ``received`` counts response lines pumped
+    back.  The delta is the client's in-flight work on that shard — what
+    disconnect handling must wait out before closing.
+    """
+
+    __slots__ = ("reader", "writer", "pump", "sent", "received", "closed")
+
+    def __init__(self, reader: asyncio.StreamReader, writer) -> None:
+        self.reader = reader
+        self.writer = writer
+        self.pump: Optional[asyncio.Task] = None
+        self.sent = 0
+        self.received = 0
+        self.closed = False
+
+    def close(self) -> None:
+        self.closed = True
+        try:
+            self.writer.close()
+        except RuntimeError:  # pragma: no cover - loop already gone
+            pass
+
+
+class RemoteBackend:
+    """One shard worker seen from the front end.
+
+    Owns the worker process and its control pipe (start, ready, stop), the
+    control channel the front end's views ride (:meth:`view`, :meth:`call`),
+    and the per-client data channels raw request lines are forwarded on
+    (:meth:`open_channel`).  ``down`` flips the instant the process dies
+    unexpectedly; a graceful :meth:`stop` keeps the worker's last status
+    and metrics in :attr:`final`, so views over a stopped fleet still read.
+    """
+
+    def __init__(self, shard: int, supports, config, socket_path: str,
+                 ctx) -> None:
         self.shard = int(shard)
         self.supports = supports
-        self.config = config
+        state_dir = config.state_dir
+        if state_dir is not None:
+            state_dir = os.path.join(state_dir, f"shard-{shard}")
+        # Workers never run their own admin plane — the front end's merged
+        # one is the operational surface.
+        self.config = replace(config, state_dir=state_dir, admin_port=None)
         self.socket_path = socket_path
         self._ctx = ctx
         self.process = None
-        self.conn = None
+        self.pipe = None
         self.ready_info: Optional[dict] = None
         self.down = True
         self.stopping = False
+        #: ``{"status": ..., "metrics": ...}`` the worker sent as it stopped.
+        self.final: Optional[dict] = None
+        self._control: Optional[_ControlChannel] = None
+        self._sentinel: Optional[int] = None
 
-    def spawn(self) -> None:
+    @property
+    def pid(self) -> Optional[int]:
+        return None if self.process is None else self.process.pid
+
+    # ------------------------------------------------------------------
+    # Lifecycle.
+    # ------------------------------------------------------------------
+    async def start(self) -> dict:
+        """Spawn the worker (unless it runs) and wait for its ready info."""
+        if self.process is not None and self.process.is_alive():
+            return self.ready_info
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)
         parent, child = self._ctx.Pipe()
@@ -234,49 +302,171 @@ class ShardWorker:
             daemon=True,
             name=f"repro-shard-{self.shard}",
         )
+        self.down = True
         self.stopping = False
+        self.final = None
         self.process.start()
         child.close()
-        self.conn = parent
+        self.pipe = parent
+        loop = asyncio.get_running_loop()
+        self.ready_info = await loop.run_in_executor(None, self._wait_ready)
+        self.down = False
+        self._sentinel = self.process.sentinel
+        loop.add_reader(self._sentinel, self._on_exit)
+        return self.ready_info
 
-    def wait_ready(self, timeout: float = WORKER_READY_TIMEOUT_S) -> dict:
-        """Block until the worker reports ready (call from an executor)."""
-        assert self.conn is not None, "spawn() first"
-        if not self.conn.poll(timeout):
+    def _wait_ready(self, timeout: float = WORKER_READY_TIMEOUT_S) -> dict:
+        if not self.pipe.poll(timeout):
             raise TimeoutError(
                 f"shard {self.shard} did not become ready within {timeout:g}s"
             )
-        info = self.conn.recv()
+        info = self.pipe.recv()
         if not isinstance(info, dict) or not info.get("ready"):
             raise RuntimeError(f"shard {self.shard} failed to start: {info!r}")
-        self.ready_info = info
-        self.down = False
         return info
 
-    @property
-    def pid(self) -> Optional[int]:
-        return None if self.process is None else self.process.pid
+    def _on_exit(self) -> None:
+        """Flip the shard down the instant its process exits unexpectedly."""
+        self._unwatch()
+        if not self.stopping:
+            self.mark_down()
 
-    def request_stop(self) -> None:
+    def _unwatch(self) -> None:
+        if self._sentinel is not None:
+            try:
+                asyncio.get_running_loop().remove_reader(self._sentinel)
+            except (RuntimeError, OSError):  # pragma: no cover - loop gone
+                pass
+            self._sentinel = None
+
+    def mark_down(self) -> None:
+        if self.down:
+            return
+        self.down = True
+        if self._control is not None:
+            self._control.close()
+            self._control = None
+
+    async def stop(self) -> None:
+        """Stop the worker gracefully (it drains and closes its store)."""
+        self._unwatch()
         self.stopping = True
-        if self.conn is None:
+        if self._control is not None:
+            self._control.close()
+            self._control = None
+        if self.pipe is None:
             return
         try:
-            self.conn.send("shutdown")
+            self.pipe.send("shutdown")
         except (BrokenPipeError, OSError):
             pass
+        await asyncio.get_running_loop().run_in_executor(None, self._join)
 
-    def join(self, timeout: float = 15.0) -> None:
-        """Wait for exit; escalate to SIGKILL if the grace period lapses."""
-        if self.process is None:
-            return
-        self.process.join(timeout)
+    def _join(self, timeout: float = 15.0) -> None:
+        """Wait for exit (escalating to SIGKILL), keeping its last words.
+
+        The pipe is read before the join: a worker blocked sending a large
+        final message would otherwise never exit."""
+        deadline = time.monotonic() + timeout
+        try:
+            while self.pipe.poll(max(deadline - time.monotonic(), 0.0)):
+                message = self.pipe.recv()
+                if isinstance(message, dict) and message.get("stopped"):
+                    self.final = message
+                    break
+        except (EOFError, OSError):
+            pass
+        self.process.join(max(deadline - time.monotonic(), 0.1))
         if self.process.is_alive():  # pragma: no cover - wedged worker
             self.process.kill()
             self.process.join(5.0)
-        if self.conn is not None:
-            self.conn.close()
-            self.conn = None
+        self.pipe.close()
+        self.pipe = None
+
+    # ------------------------------------------------------------------
+    # Control plane.
+    # ------------------------------------------------------------------
+    async def call(self, payload: dict) -> Optional[dict]:
+        """One request/response round trip on the control channel (None
+        when the shard is down or dies mid-call)."""
+        if self.down:
+            return None
+        try:
+            if self._control is None or self._control.closed:
+                reader, writer = await asyncio.open_unix_connection(
+                    self.socket_path, limit=_READLINE_LIMIT
+                )
+                self._control = _ControlChannel(reader, writer)
+            return await self._control.call(payload)
+        except (ConnectionError, OSError, json.JSONDecodeError):
+            if not self.stopping:
+                self.mark_down()
+            return None
+
+    async def view(self, op: str, **args) -> Optional[dict]:
+        """The worker's own answer to the view op *op*, without its
+        ``type``/``id`` framing; None if it has none (down, or tracing off).
+        A stopped worker answers ``status`` and ``metrics`` from
+        :attr:`final`."""
+        if self.final is not None:
+            return self.final.get(op)
+        response = await self.call({"op": op, **args})
+        if response is None or response.get("type") == "error":
+            return None
+        response.pop("type", None)
+        return response
+
+    # ------------------------------------------------------------------
+    # Data plane.
+    # ------------------------------------------------------------------
+    async def open_channel(self, sink, preamble: Optional[bytes] = None
+                           ) -> Optional[_Channel]:
+        """A fresh data channel whose response lines pump into *sink* (a
+        client connection); *preamble* is written first.  None if down."""
+        if self.down:
+            return None
+        try:
+            reader, writer = await asyncio.open_unix_connection(
+                self.socket_path, limit=_READLINE_LIMIT
+            )
+        except (ConnectionError, OSError):
+            self.mark_down()
+            return None
+        chan = _Channel(reader, writer)
+        chan.pump = asyncio.create_task(self._pump(chan, sink))
+        if preamble is not None:
+            writer.write(preamble)
+        return chan
+
+    async def _pump(self, chan: _Channel, sink) -> None:
+        """Forward *chan*'s response bytes to *sink*, whole lines only.
+
+        Chunks cut at the last newline so concurrent pumps (one per shard)
+        interleave on the client socket at line granularity — the protocol's
+        atomicity unit — never mid-frame.  ``await flush`` propagates client
+        socket backpressure up the chain to the worker.
+        """
+        pending = b""
+        try:
+            while True:
+                data = await chan.reader.read(1 << 16)
+                if not data:
+                    break
+                pending += data
+                cut = pending.rfind(b"\n")
+                if cut < 0:
+                    continue
+                chunk, pending = pending[:cut + 1], pending[cut + 1:]
+                chan.received += chunk.count(b"\n")
+                sink.send_raw(chunk)
+                await sink.flush()
+        except (ConnectionError, OSError, asyncio.CancelledError):
+            pass
+        finally:
+            chan.closed = True
+            if chan.received < chan.sent and not self.stopping:
+                # EOF with responses still owed: the worker died mid-flight.
+                self.mark_down()
 
 
 # ----------------------------------------------------------------------
@@ -333,15 +523,16 @@ def merge_histogram_snapshots(snaps: List[dict]) -> dict:
 
 def merge_snapshots(per_shard: Dict[int, dict],
                     router_snapshot: Optional[dict] = None) -> dict:
-    """One metrics view from N worker snapshots plus the router's own.
+    """One metrics view from N worker snapshots plus the front end's own.
 
     Every worker series appears twice: relabeled with ``shard="K"`` (the
     per-shard ``shed_total{shard="0"}`` drill-down) and folded into an
     unlabeled aggregate under its original key — counters and histogram
     buckets sum, gauges sum too (meaningful for the additive ones: RSS,
     queue depth, open sessions, connections; per-shard values remain the
-    authority for the rest, e.g. ``drain_window``).  The router's own
-    ``router_*`` series merge in unrelabeled — there is exactly one router.
+    authority for the rest, e.g. ``drain_window``).  The front end's own
+    ``router_*`` and audit series merge in unrelabeled — there is exactly
+    one front end.
     """
     counters: Dict[str, float] = {}
     gauges: Dict[str, float] = {}
@@ -380,812 +571,96 @@ def merge_snapshots(per_shard: Dict[int, dict],
     return snap
 
 
-# ----------------------------------------------------------------------
-# The router.
-# ----------------------------------------------------------------------
-class _ControlChannel:
-    """One serialized request/response lane to a worker, for router ops.
+def merge_sessions(per_shard: Dict[int, dict], limit: int, offset: int) -> dict:
+    """Tenant-sorted page over every shard's session listing.
 
-    Control traffic (metrics, drain, status, listings) rides its own Unix
-    connection per shard so it can never interleave with — or be stalled
-    behind — a client's data channel.  A lock serializes calls because the
-    protocol pairs one response line to one request line.
+    Each shard must have been asked for its first ``offset + limit``
+    sessions; every entry is tagged with its shard.
     """
-
-    def __init__(self, reader: asyncio.StreamReader, writer) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.lock = asyncio.Lock()
-        self.closed = False
-
-    async def call(self, payload: dict) -> dict:
-        async with self.lock:
-            self.writer.write(
-                (json.dumps(payload, separators=(",", ":")) + "\n").encode()
-            )
-            await self.writer.drain()
-            line = await self.reader.readline()
-        if not line:
-            self.closed = True
-            raise ConnectionError("control channel closed")
-        return json.loads(line)
-
-    def close(self) -> None:
-        self.closed = True
-        try:
-            self.writer.close()
-        except RuntimeError:  # pragma: no cover - loop already gone
-            pass
+    sessions: List[dict] = []
+    total = closed_total = 0
+    for shard in sorted(per_shard):
+        view = per_shard[shard]
+        total += int(view.get("total", 0))
+        closed_total += int(view.get("closed_total", 0))
+        sessions.extend({**entry, "shard": shard}
+                        for entry in view.get("sessions", []))
+    sessions.sort(key=lambda s: s["tenant"])
+    return {
+        "total": total,
+        "offset": offset,
+        "limit": limit,
+        "closed_total": closed_total,
+        "sessions": sessions[offset:offset + limit],
+    }
 
 
-class _Upstream:
-    """One client's data channel to one shard, with line accounting.
+def merge_audit(per_shard: Dict[int, dict], after_seq: int, limit: int) -> dict:
+    """Seq-merged audit page: every shard's records, sorted ``(seq, shard)``.
 
-    ``sent`` counts forwarded request lines that owe a response line
-    (everything except ``mark``); ``received`` counts response lines pumped
-    back.  The delta is the client's in-flight work on that shard — what
-    disconnect handling must wait out before closing.
+    Shards mint independent seq spaces (each contiguous from 0 — that
+    per-shard contiguity is the replay-verification invariant), so the
+    merged view tags each record with its shard and orders by seq first:
+    interleaved but deterministic, and filterable back to any single
+    shard's contiguous chain.  Each shard must have been asked for its
+    first *limit* records after *after_seq*.
+
+    A page never ends inside a seq group: it runs on through every shard's
+    record at its last seq (so it may hold up to ``shards - 1`` records
+    more than *limit*), which makes ``after_seq = <last seq of the page>``
+    resume exactly where it stopped.  Every shard returned all its records
+    up to that seq — a shard cut off below it would have filled the page
+    first.
     """
-
-    __slots__ = ("shard", "reader", "writer", "pump", "sent", "received",
-                 "closed")
-
-    def __init__(self, shard: int, reader: asyncio.StreamReader, writer) -> None:
-        self.shard = shard
-        self.reader = reader
-        self.writer = writer
-        self.pump: Optional[asyncio.Task] = None
-        self.sent = 0
-        self.received = 0
-        self.closed = False
-
-
-class _RouterClient:
-    """One ingress connection: its response sink and its shard channels."""
-
-    def __init__(self, server: "ShardedServer", writer=None, stream=None,
-                 legacy_stderr: bool = False) -> None:
-        self.server = server
-        self.conn = _Connection(writer=writer, stream=stream, name="router-client")
-        self.legacy_stderr = legacy_stderr
-        self.upstreams: Dict[int, _Upstream] = {}
-        self.mark_raw: Optional[bytes] = None
-        self.finished = False
-
-    def send(self, payload: dict) -> None:
-        if payload.pop("_legacy", False) and self.legacy_stderr:
-            print(f"error: {payload['error']}", file=sys.stderr)
-            return
-        self.conn.send(payload)
-
-    async def flush(self) -> None:
-        await self.conn.flush()
-
-    async def upstream(self, shard: int) -> Optional[_Upstream]:
-        """The lazily opened data channel to *shard* (None if shard down)."""
-        up = self.upstreams.get(shard)
-        if up is not None and not up.closed:
-            return up
-        worker = self.server.workers.get(shard)
-        if worker is None or worker.down or shard in self.server.decommissioned:
-            return None
-        try:
-            reader, writer = await asyncio.open_unix_connection(
-                worker.socket_path, limit=_READLINE_LIMIT
-            )
-        except (ConnectionError, OSError):
-            self.server._mark_down(shard)
-            return None
-        up = _Upstream(shard, reader, writer)
-        self.upstreams[shard] = up
-        up.pump = asyncio.create_task(self._pump(up))
-        if self.mark_raw is not None:
-            # Replay the client's latest timing beacon so traced
-            # ingress_wait on a fresh channel still starts at client send.
-            writer.write(self.mark_raw)
-        return up
-
-    async def _pump(self, up: _Upstream) -> None:
-        """Forward *up*'s response bytes to the client, whole lines only.
-
-        Chunks cut at the last newline so concurrent pumps (one per shard)
-        interleave on the client socket at line granularity — the protocol's
-        atomicity unit — never mid-frame.  ``await flush`` propagates client
-        socket backpressure up the chain to the worker.
-        """
-        pending = b""
-        try:
-            while True:
-                data = await up.reader.read(1 << 16)
-                if not data:
-                    break
-                pending += data
-                cut = pending.rfind(b"\n")
-                if cut < 0:
-                    continue
-                chunk, pending = pending[:cut + 1], pending[cut + 1:]
-                up.received += chunk.count(b"\n")
-                self.conn.send_raw(chunk)
-                await self.conn.flush()
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            pass
-        finally:
-            up.closed = True
-            if up.received < up.sent and not self.server._closing \
-                    and not self.server.workers[up.shard].stopping:
-                # EOF with responses still owed: the worker died mid-flight.
-                self.server._mark_down(up.shard)
-
-    def in_flight(self) -> int:
-        """Responses still owed on live channels (a dead shard owes none)."""
-        return sum(up.sent - up.received
-                   for up in self.upstreams.values() if not up.closed)
-
-    async def finish(self, timeout: float = 30.0) -> None:
-        """Drain in-flight responses, then close every shard channel."""
-        if self.finished:
-            return
-        self.finished = True
-        if self.in_flight():
-            await self.server.force_drain()
-            deadline = time.monotonic() + timeout
-            while self.in_flight() and time.monotonic() < deadline:
-                await asyncio.sleep(0.005)
-        for up in self.upstreams.values():
-            try:
-                up.writer.close()
-            except RuntimeError:  # pragma: no cover - loop already gone
-                pass
-        for up in self.upstreams.values():
-            if up.pump is not None:
-                try:
-                    await asyncio.wait_for(up.pump, timeout=5.0)
-                except asyncio.TimeoutError:  # pragma: no cover - defensive
-                    up.pump.cancel()
-        await self.flush()
+    records: List[dict] = []
+    next_seq = 0
+    for shard in sorted(per_shard):
+        view = per_shard[shard]
+        next_seq = max(next_seq, int(view.get("next_seq", 0)))
+        records.extend({**record, "shard": shard}
+                       for record in view.get("records", []))
+    records.sort(key=lambda r: (r["seq"], r["shard"]))
+    end = min(limit, len(records))
+    while 0 < end < len(records) and records[end]["seq"] == records[end - 1]["seq"]:
+        end += 1
+    selected = records[:end]
+    return {
+        "after_seq": after_seq,
+        "limit": limit,
+        "count": len(selected),
+        "next_seq": next_seq,
+        "records": selected,
+    }
 
 
-class ShardedServer:
-    """N worker processes behind one consistent-hash ingress router.
-
-    Speaks the exact single-process protocol on the same transports
-    (:meth:`serve_tcp`, :meth:`serve_stdin`) and mounts the same admin
-    plane; implements the view methods (``snapshot``, ``readiness``,
-    ``sessions_view``, ``audit_view``, ``trace_view``, ``slow_view``) as
-    coroutines that merge every worker's answer.  Construction is cheap;
-    :meth:`start` (or the transports, which call it) spawns the workers and
-    blocks until all report ready — recovery included, so a router that
-    says ready can serve every recovered tenant.
-    """
-
-    def __init__(self, supports, config: Optional[ServerConfig] = None,
-                 shards: int = 2, runtime_dir: Optional[str] = None,
-                 replicas: int = RING_REPLICAS) -> None:
-        self.config = config or ServerConfig()
-        self.num_shards = int(shards)
-        if self.num_shards < 1:
-            raise ValueError("shards must be >= 1")
-        self.supports = np.ascontiguousarray(supports, dtype=float)
-        self.ring = HashRing(range(self.num_shards), replicas=replicas)
-        self._ctx = multiprocessing.get_context("spawn")
-        # Unix socket paths must stay under ~107 bytes, so the sockets live
-        # in their own short-lived tmp dir, never under state_dir.
-        self.runtime_dir = runtime_dir or tempfile.mkdtemp(prefix="repro-shards-")
-        self._own_runtime_dir = runtime_dir is None
-        self.workers: Dict[int, ShardWorker] = {
-            k: ShardWorker(k, self.supports, self._worker_config(k),
-                           os.path.join(self.runtime_dir, f"s{k}"), self._ctx)
-            for k in range(self.num_shards)
-        }
-        self.decommissioned: Set[int] = set()
-        self.metrics = MetricsRegistry()
-        self.sampler = RssSampler(self.metrics)
-        self._c_routed = self.metrics.counter("router_requests_total")
-        self._c_unavailable = self.metrics.counter("router_unavailable_total")
-        self._c_errors = self.metrics.counter("router_errors_total")
-        self._g_clients = self.metrics.gauge("router_clients")
-        self._g_shards = self.metrics.gauge("router_shards_alive")
-        #: Latest ``audit_report`` (see :meth:`record_audit_report`): the
-        #: audit spans shards, so its state lives at the router.
-        self._audit_report: Optional[dict] = None
-        self._controls: Dict[int, _ControlChannel] = {}
-        self._clients: Set[_RouterClient] = set()
-        self._watched: Dict[int, int] = {}  # shard -> sentinel fd under add_reader
-        self.admin: Optional[AdminPlane] = None
-        self._closing = False
-        self._started = False
-        #: Captured by :meth:`shutdown` before the workers stop: the merged
-        #: metrics snapshot and per-shard statuses a caller (CLI summary,
-        #: bench harness) reads once the processes are gone.
-        self.final_snapshot: Optional[dict] = None
-        self.final_statuses: Optional[Dict[int, dict]] = None
-
-    def _worker_config(self, shard: int) -> ServerConfig:
-        state_dir = self.config.state_dir
-        if state_dir is not None:
-            state_dir = os.path.join(state_dir, f"shard-{shard}")
-        # Workers never run their own admin plane — the router's merged one
-        # is the operational surface.
-        return replace(self.config, state_dir=state_dir, admin_port=None)
-
-    # ------------------------------------------------------------------
-    # Lifecycle.
-    # ------------------------------------------------------------------
-    async def start(self) -> List[dict]:
-        """Spawn all workers; returns their ready infos (pid, recovery)."""
-        if self._started:
-            return [w.ready_info for w in self.workers.values()]
-        if self.config.state_dir is not None:
-            os.makedirs(self.config.state_dir, exist_ok=True)
-        loop = asyncio.get_running_loop()
-        for worker in self.workers.values():
-            worker.spawn()
-        infos = await asyncio.gather(*[
-            loop.run_in_executor(None, worker.wait_ready)
-            for worker in self.workers.values()
-        ])
-        for worker in self.workers.values():
-            self._watch(worker)
-        self._g_shards.set(len(self.live_shards()))
-        self._started = True
-        return list(infos)
-
-    def _watch(self, worker: ShardWorker) -> None:
-        """Flip a shard down the instant its process exits unexpectedly."""
-        loop = asyncio.get_running_loop()
-        sentinel = worker.process.sentinel
-
-        def on_exit() -> None:
-            loop.remove_reader(sentinel)
-            self._watched.pop(worker.shard, None)
-            if not worker.stopping and not self._closing:
-                self._mark_down(worker.shard)
-
-        self._watched[worker.shard] = sentinel
-        loop.add_reader(sentinel, on_exit)
-
-    def _unwatch(self, worker: ShardWorker) -> None:
-        sentinel = self._watched.pop(worker.shard, None)
-        if sentinel is not None:
-            try:
-                asyncio.get_running_loop().remove_reader(sentinel)
-            except (RuntimeError, OSError):  # pragma: no cover - loop gone
-                pass
-
-    def _mark_down(self, shard: int) -> None:
-        worker = self.workers.get(shard)
-        if worker is None or worker.down:
-            return
-        worker.down = True
-        chan = self._controls.pop(shard, None)
-        if chan is not None:
-            chan.close()
-        self._g_shards.set(len(self.live_shards()))
-
-    def live_shards(self) -> List[int]:
-        return [k for k, w in sorted(self.workers.items())
-                if not w.down and k not in self.decommissioned]
-
-    async def restart_shard(self, shard: int) -> dict:
-        """Respawn one worker; recovery replays its ``shard-K`` state.
-
-        The typed-``unavailable`` degradation window for the shard's tenants
-        ends here: placement never changed (the ring is untouched), so the
-        recovered sessions serve again exactly where they were.
-        """
-        worker = self.workers[shard]
-        if shard in self.decommissioned:
-            raise ValueError(f"shard {shard} was decommissioned")
-        self._unwatch(worker)
-        worker.stopping = True
-        if worker.process is not None and worker.process.is_alive():
-            worker.request_stop()
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, worker.join)
-        chan = self._controls.pop(shard, None)
-        if chan is not None:
-            chan.close()
-        self._drop_client_channels(shard)
-        worker.down = True
-        worker.spawn()
-        info = await loop.run_in_executor(None, worker.wait_ready)
-        self._watch(worker)
-        self._g_shards.set(len(self.live_shards()))
-        return info
-
-    def _drop_client_channels(self, shard: int) -> None:
-        for client in self._clients:
-            up = client.upstreams.pop(shard, None)
-            if up is not None and not up.closed:
-                up.closed = True
-                try:
-                    up.writer.close()
-                except RuntimeError:  # pragma: no cover
-                    pass
-
-    async def decommission(self, shard: int) -> Dict[str, float]:
-        """Shard-aware eviction: retire *shard*, rehash its tenants away.
-
-        Ring first (new traffic reroutes immediately), then close every
-        session on the leaving shard — releasing unspent budget into its
-        audit log — then stop the worker.  Returns ``{tenant: released}``.
-        Tenants whose placement did not point at *shard* are untouched (the
-        consistent-hash no-movement property); the evicted tenants' next
-        request lands on a survivor as a fresh session/epoch.
-        """
-        if shard in self.decommissioned or shard not in self.workers:
-            raise ValueError(f"no live shard {shard}")
-        if len(self.ring) <= 1:
-            raise ValueError("cannot decommission the last shard")
-        self.ring = self.ring.without(shard)
-        released: Dict[str, float] = {}
-        view = await self._call_shard(shard, {"op": "sessions",
-                                              "limit": 1_000_000, "offset": 0})
-        if view is not None:
-            for entry in view.get("sessions", []):
-                resp = await self._call_shard(
-                    shard, {"op": "close", "tenant": entry["tenant"]}
-                )
-                if resp is not None and resp.get("type") == "closed":
-                    released[entry["tenant"]] = resp.get("released", 0.0)
-        worker = self.workers[shard]
-        self._unwatch(worker)
-        chan = self._controls.pop(shard, None)
-        if chan is not None:
-            chan.close()
-        worker.request_stop()
-        await asyncio.get_running_loop().run_in_executor(None, worker.join)
-        self.decommissioned.add(shard)
-        worker.down = True
-        self._drop_client_channels(shard)
-        self._g_shards.set(len(self.live_shards()))
-        return released
-
-    async def shutdown(self) -> None:
-        """Graceful stop: drain clients, snapshot the plane, stop workers."""
-        if self._closing:
-            return
-        self._closing = True
-        if self.admin is not None:
-            await self.admin.close()
-            self.admin = None
-        tcp = getattr(self, "_tcp_server", None)
-        if tcp is not None:
-            tcp.close()
-            await tcp.wait_closed()
-        for client in list(self._clients):
-            client.finished = False  # force a final drain even if finished
-            await client.finish()
-        # The merged view must be captured while the workers still answer:
-        # after they exit there is nothing left to ask.
-        try:
-            self.final_snapshot = await self.snapshot()
-            self.final_statuses = await self._broadcast({"op": "status"})
-        except (ConnectionError, OSError):  # pragma: no cover - late death
-            pass
-        for chan in self._controls.values():
-            chan.close()
-        self._controls = {}
-        loop = asyncio.get_running_loop()
-        for worker in self.workers.values():
-            self._unwatch(worker)
-            worker.request_stop()
-        await asyncio.gather(*[
-            loop.run_in_executor(None, worker.join)
-            for worker in self.workers.values()
-        ])
-        if self._own_runtime_dir:
-            shutil.rmtree(self.runtime_dir, ignore_errors=True)
-
-    # ------------------------------------------------------------------
-    # Control plane.
-    # ------------------------------------------------------------------
-    async def _control(self, shard: int) -> _ControlChannel:
-        chan = self._controls.get(shard)
-        if chan is None or chan.closed:
-            reader, writer = await asyncio.open_unix_connection(
-                self.workers[shard].socket_path, limit=_READLINE_LIMIT
-            )
-            chan = _ControlChannel(reader, writer)
-            self._controls[shard] = chan
-        return chan
-
-    async def _call_shard(self, shard: int, payload: dict) -> Optional[dict]:
-        worker = self.workers.get(shard)
-        if worker is None or worker.down:
-            return None
-        try:
-            chan = await self._control(shard)
-            return await chan.call(payload)
-        except (ConnectionError, OSError, json.JSONDecodeError):
-            if not worker.stopping and not self._closing:
-                self._mark_down(shard)
-            return None
-
-    async def _broadcast(self, payload: dict) -> Dict[int, dict]:
-        shards = self.live_shards()
-        results = await asyncio.gather(*[
-            self._call_shard(k, payload) for k in shards
-        ])
-        return {k: r for k, r in zip(shards, results) if r is not None}
-
-    async def force_drain(self) -> int:
-        """Force every shard to drain; returns the summed pending depth."""
-        per = await self._broadcast({"op": "drain"})
-        return int(sum(r.get("pending", 0) for r in per.values()))
-
-    # ------------------------------------------------------------------
-    # Merged views (the admin plane awaits these coroutines).
-    # ------------------------------------------------------------------
-    async def snapshot(self) -> dict:
-        self.sampler.sample()
-        self._g_clients.set(len(self._clients))
-        per = await self._broadcast({"op": "metrics"})
-        sections = {
-            k: {s: v.get(s, {}) for s in ("counters", "gauges", "histograms")}
-            for k, v in per.items()
-        }
-        snap = merge_snapshots(sections, self.metrics.snapshot())
-        snap["shards"] = {
-            "count": self.num_shards,
-            "alive": self.live_shards(),
-            "down": [k for k, w in sorted(self.workers.items())
-                     if w.down and k not in self.decommissioned],
-            "decommissioned": sorted(self.decommissioned),
-        }
-        return snap
-
-    async def readiness(self) -> Tuple[bool, dict]:
-        """Router ``/readyz``: ready iff every non-retired shard is."""
-        statuses = await self._broadcast({"op": "status"})
-        detail: Dict[str, Any] = {"closing": self._closing, "shards": {}}
-        ok = not self._closing
-        for shard, worker in sorted(self.workers.items()):
-            if shard in self.decommissioned:
-                detail["shards"][str(shard)] = {"state": "decommissioned"}
-                continue
-            status = statuses.get(shard)
-            if status is None:
-                detail["shards"][str(shard)] = {"ready": False, "state": "down",
-                                                "pid": worker.pid}
-                ok = False
-            else:
-                detail["shards"][str(shard)] = {
-                    key: status[key]
-                    for key in ("ready", "drain_loop", "store", "pid")
-                    if key in status
-                }
-                ok = ok and bool(status.get("ready"))
-        return ok, detail
-
-    async def sessions_view(self, limit: int = 50, offset: int = 0) -> dict:
-        """Tenant-sorted merge of every shard's session listing."""
-        limit = max(int(limit), 0)
-        offset = max(int(offset), 0)
-        per = await self._broadcast(
-            {"op": "sessions", "limit": offset + limit, "offset": 0}
+def merge_trace(reports: List[dict], slow_limit: int) -> Optional[dict]:
+    """Merged ``/debug/trace``: summed spans, bucket-merged stages, the
+    newest *slow_limit* exemplars across shards (None without reports)."""
+    if not reports:
+        return None
+    stages = {}
+    for stage in reports[0].get("stages", {}):
+        stages[stage] = merge_histogram_snapshots(
+            [r["stages"][stage] for r in reports if stage in r.get("stages", {})]
         )
-        sessions: List[dict] = []
-        total = 0
-        closed_total = 0
-        for shard in sorted(per):
-            view = per[shard]
-            total += int(view.get("total", 0))
-            closed_total += int(view.get("closed_total", 0))
-            for entry in view.get("sessions", []):
-                sessions.append({**entry, "shard": shard})
-        sessions.sort(key=lambda s: s["tenant"])
-        return {
-            "total": total,
-            "offset": offset,
-            "limit": limit,
-            "closed_total": closed_total,
-            "sessions": sessions[offset:offset + limit],
-        }
-
-    async def audit_view(self, after_seq: int = -1, limit: int = 100) -> dict:
-        """Seq-merged audit: every shard's records, sorted ``(seq, shard)``.
-
-        Shards mint independent seq spaces (each contiguous from 0 — that
-        per-shard contiguity is the replay-verification invariant), so the
-        merged view tags each record with its shard and orders by seq
-        first: interleaved but deterministic, and filterable back to any
-        single shard's contiguous chain.
-        """
-        after_seq = int(after_seq)
-        limit = max(int(limit), 0)
-        per = await self._broadcast(
-            {"op": "audit", "after_seq": after_seq, "limit": limit}
-        )
-        records: List[dict] = []
-        next_seq = 0
-        for shard in sorted(per):
-            view = per[shard]
-            next_seq = max(next_seq, int(view.get("next_seq", 0)))
-            for record in view.get("records", []):
-                records.append({**record, "shard": shard})
-        records.sort(key=lambda r: (r["seq"], r["shard"]))
-        selected = records[:limit]
-        return {
-            "after_seq": after_seq,
-            "limit": limit,
-            "count": len(selected),
-            "next_seq": next_seq,
-            "records": selected,
-        }
-
-    async def trace_view(self, slow_limit: int = 32) -> Optional[dict]:
-        """Merged ``/debug/trace``: summed spans, bucket-merged stages."""
-        if not self.config.trace:
-            return None
-        per = await self._broadcast({"op": "trace", "slow": int(slow_limit)})
-        reports = [per[k] for k in sorted(per)]
-        reports = [r for r in reports if r.get("type") != "error"]
-        if not reports:
-            return None
-        stages = {}
-        for stage in reports[0].get("stages", {}):
-            stages[stage] = merge_histogram_snapshots(
-                [r["stages"][stage] for r in reports if stage in r.get("stages", {})]
-            )
-        slow = sorted(
-            (ex for r in reports for ex in r.get("slow", [])),
-            key=lambda e: e.get("at", 0.0),
-        )
-        return {
-            "glossary": reports[0].get("glossary", {}),
-            "slow_threshold_ms": reports[0].get("slow_threshold_ms"),
-            "spans_total": sum(int(r.get("spans_total", 0)) for r in reports),
-            "slow_total": sum(int(r.get("slow_total", 0)) for r in reports),
-            "stages": stages,
-            "stage_p50_sum_ms": round(
-                sum(s.get("p50", 0.0) for s in stages.values()), 6
-            ),
-            "gate_kernel": merge_histogram_snapshots(
-                [r["gate_kernel"] for r in reports if "gate_kernel" in r]
-            ),
-            "total": merge_histogram_snapshots(
-                [r["total"] for r in reports if "total" in r]
-            ),
-            "slow": slow[-max(int(slow_limit), 0):] if slow_limit else [],
-        }
-
-    async def slow_view(self, limit: int = 64) -> Optional[dict]:
-        report = await self.trace_view(slow_limit=limit)
-        if report is None:
-            return None
-        return {"slow_threshold_ms": report["slow_threshold_ms"],
-                "slow": report["slow"]}
-
-    def record_audit_report(self, payload: dict) -> dict:
-        """Fold one ``audit_report`` op into the router's registry.
-
-        Canary tenant pairs hash onto different shards, so per-shard audit
-        totals would be meaningless — the bound belongs to the fleet, and
-        the router's own series merge unlabeled into the aggregate
-        ``/metrics`` view (see :func:`merge_snapshots`).
-        """
-        report = fold_audit_report(
-            self.metrics, self._audit_report, payload,
-            default_charged=self.config.epsilon,
-        )
-        self._audit_report = report
-        return report
-
-    def audit_eps_view(self) -> dict:
-        """The ``/audit/eps`` payload (sync — router-local state only)."""
-        out = {"audited": self._audit_report is not None,
-               "gate_fault": self.config.gate_fault}
-        if self._audit_report is not None:
-            out.update(self._audit_report)
-        return out
-
-    async def start_admin(self, host: Optional[str] = None,
-                          port: Optional[int] = None) -> Tuple[str, int]:
-        if self.admin is None:
-            self.admin = AdminPlane(
-                self,
-                host=self.config.admin_host if host is None else host,
-                port=(self.config.admin_port or 0) if port is None else port,
-            )
-            await self.admin.start()
-        return self.admin.address
-
-    # ------------------------------------------------------------------
-    # Data plane: transports and routing.
-    # ------------------------------------------------------------------
-    async def serve_tcp(self, host: str = "127.0.0.1", port: int = 0):
-        """Boot the workers and start the ingress TCP listener."""
-        await self.start()
-        self._tcp_server = await asyncio.start_server(
-            self._handle_client, host, port, limit=_READLINE_LIMIT
-        )
-        if self.config.admin_port is not None:
-            await self.start_admin()
-        return self._tcp_server
-
-    @property
-    def tcp_address(self) -> Tuple[str, int]:
-        sock = self._tcp_server.sockets[0]
-        return sock.getsockname()[:2]
-
-    async def serve_stdin(self, stdin=None, stdout=None) -> int:
-        """Stdio transport through the router; returns responses forwarded.
-
-        Same contract as the single-process version from the pipe's point
-        of view: every request line yields its response line, a blank line
-        force-drains, EOF drains everything out before returning.  (Lines
-        of different tenants may interleave across shards; per-tenant order
-        holds.)
-        """
-        stdin = stdin if stdin is not None else sys.stdin
-        stdout = stdout if stdout is not None else sys.stdout
-        await self.start()
-        if self.config.admin_port is not None and self.admin is None:
-            await self.start_admin()
-        client = _RouterClient(self, stream=stdout, legacy_stderr=True)
-        self._clients.add(client)
-        loop = asyncio.get_running_loop()
-        try:
-            while True:
-                raw = await loop.run_in_executor(None, stdin.readline)
-                if raw == "":
-                    break
-                await self._ingest(client, raw.encode()
-                                   if isinstance(raw, str) else raw)
-        finally:
-            await client.finish()
-            self._clients.discard(client)
-        return sum(up.received for up in client.upstreams.values())
-
-    async def _handle_client(self, reader: asyncio.StreamReader, writer) -> None:
-        client = _RouterClient(self, writer=writer)
-        self._clients.add(client)
-        self._g_clients.set(len(self._clients))
-        try:
-            while True:
-                try:
-                    raw = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError,
-                        ValueError) as exc:
-                    self._c_errors.add()
-                    client.send({"type": "error",
-                                 "error": f"unreadable frame: {exc}"})
-                    break
-                if not raw:
-                    break
-                await self._ingest(client, raw)
-        finally:
-            await client.finish()
-            self._clients.discard(client)
-            self._g_clients.set(len(self._clients))
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
-
-    async def _ingest(self, client: _RouterClient, raw: bytes) -> None:
-        """Route one wire line: parse just enough, forward bytes verbatim."""
-        payload, error = parse_request_line(raw.decode("utf-8", "replace"))
-        if error is not None:
-            self._c_errors.add()
-            client.send(error)
-            await client.flush()
-            return
-        if payload is None:  # blank line: the force-drain signal
-            await self.force_drain()
-            return
-        op = payload.get("op")
-        request_id = payload.get("id")
-        if op == "mark":
-            # Validated here because a forwarded *bad* mark would make every
-            # worker emit an error line the accounting never charged for; a
-            # good mark yields no response and replays onto late channels.
-            try:
-                float(payload["t"])
-            except (KeyError, TypeError, ValueError) as exc:
-                self._c_errors.add()
-                out = {"type": "error", "error": f"invalid mark payload: {exc}"}
-                if request_id is not None:
-                    out["id"] = request_id
-                client.send(out)
-                await client.flush()
-                return
-            if not raw.endswith(b"\n"):
-                raw += b"\n"
-            client.mark_raw = raw
-            for up in client.upstreams.values():
-                if not up.closed:
-                    up.writer.write(raw)
-            return
-        if op in ROUTER_OPS:
-            try:
-                response = await self._router_op(op, payload)
-            except (TypeError, ValueError) as exc:
-                self._c_errors.add()
-                response = {"type": "error",
-                            "error": f"invalid {op} payload: {exc}"}
-                if request_id is not None:
-                    response["id"] = request_id
-            client.send(response)
-            await client.flush()
-            return
-        tenant = payload.get("tenant")
-        if tenant is None and op not in PROTOCOL:
-            # Unroutable and unknown: answer exactly as a worker would.
-            self._c_errors.add()
-            out = {"type": "error",
-                   "error": f"unknown op {op!r}; known: {sorted(PROTOCOL)}"}
-            if request_id is not None:
-                out["id"] = request_id
-            client.send(out)
-            await client.flush()
-            return
-        # Tenant ops (and known-but-malformed ones, e.g. a query with no
-        # tenant) route to a shard — the worker's dispatcher is the one
-        # authority on payload validity, so its typed errors come back
-        # verbatim.  A missing tenant routes deterministically to the
-        # ring's "" slot.
-        shard = self.ring.shard_for("" if tenant is None else str(tenant))
-        await self._forward(client, shard, raw, payload)
-
-    async def _forward(self, client: _RouterClient, shard: int, raw: bytes,
-                       payload: dict) -> None:
-        self._c_routed.add()
-        up = await client.upstream(shard)
-        if up is None:
-            self._c_unavailable.add()
-            out: Dict[str, Any] = {
-                "type": "unavailable",
-                "shard": shard,
-                "error": f"shard {shard} unavailable",
-            }
-            if payload.get("tenant") is not None:
-                out["tenant"] = payload["tenant"]
-            if payload.get("id") is not None:
-                out["id"] = payload["id"]
-            client.send(out)
-            await client.flush()
-            return
-        if not raw.endswith(b"\n"):
-            raw += b"\n"
-        up.sent += 1
-        up.writer.write(raw)
-        await up.writer.drain()
-
-    async def _router_op(self, op: str, payload: dict) -> dict:
-        request_id = payload.get("id")
-        if op == "metrics":
-            out = {"type": "metrics", **(await self.snapshot())}
-        elif op == "drain":
-            out = {"type": "draining", "pending": await self.force_drain()}
-        elif op == "status":
-            ok, detail = await self.readiness()
-            out = {"type": "status", "ready": ok, **detail}
-        elif op == "sessions":
-            out = {"type": "sessions", **(await self.sessions_view(
-                limit=int(payload.get("limit", 50)),
-                offset=int(payload.get("offset", 0))))}
-        elif op == "audit":
-            out = {"type": "audit", **(await self.audit_view(
-                after_seq=int(payload.get("after_seq", -1)),
-                limit=int(payload.get("limit", 100))))}
-        elif op == "audit_report":
-            # The audit spans tenants on many shards, so its totals live at
-            # the router: the router's own registry merges *unrelabeled*
-            # into the cross-shard /metrics aggregate, exactly where a
-            # fleet-wide bound belongs.
-            out = {"type": "audit_report", **self.record_audit_report(payload)}
-        else:  # trace
-            report = await self.trace_view(
-                slow_limit=int(payload.get("slow", 32)))
-            if report is None:
-                self._c_errors.add()
-                out = {"type": "error",
-                       "error": "tracing disabled; start with --trace"}
-            else:
-                out = {"type": "trace", **report}
-        if request_id is not None:
-            out["id"] = request_id
-        return out
+    slow = sorted(
+        (ex for r in reports for ex in r.get("slow", [])),
+        key=lambda e: e.get("at", 0.0),
+    )
+    return {
+        "glossary": reports[0].get("glossary", {}),
+        "slow_threshold_ms": reports[0].get("slow_threshold_ms"),
+        "spans_total": sum(int(r.get("spans_total", 0)) for r in reports),
+        "slow_total": sum(int(r.get("slow_total", 0)) for r in reports),
+        "stages": stages,
+        "stage_p50_sum_ms": round(
+            sum(s.get("p50", 0.0) for s in stages.values()), 6
+        ),
+        "gate_kernel": merge_histogram_snapshots(
+            [r["gate_kernel"] for r in reports if "gate_kernel" in r]
+        ),
+        "total": merge_histogram_snapshots(
+            [r["total"] for r in reports if "total" in r]
+        ),
+        "slow": slow[-max(int(slow_limit), 0):] if slow_limit else [],
+    }

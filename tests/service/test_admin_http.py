@@ -51,25 +51,31 @@ async def drive_queries(address, count, tenants=4):
     await writer.wait_closed()
 
 
-def serve(config, scenario):
-    """Boot a TCP server + admin plane, run *scenario*, shut down."""
+@pytest.fixture(params=[1, 2], ids=["shards1", "shards2"])
+def serve(request):
+    """Boot a TCP server + admin plane over one backend or two shard
+    workers, run *scenario*, shut down — the admin plane reads the same
+    front-end views either way."""
 
-    async def main():
-        server = RuntimeServer(SUPPORTS, config)
-        await server.serve_tcp("127.0.0.1", 0)
-        try:
-            return await scenario(server)
-        finally:
-            await server.shutdown()
+    def run(config, scenario):
+        async def main():
+            server = RuntimeServer(SUPPORTS, config, shards=request.param)
+            await server.serve_tcp("127.0.0.1", 0)
+            try:
+                return await scenario(server)
+            finally:
+                await server.shutdown()
 
-    return asyncio.run(main())
+        return asyncio.run(main())
+
+    return run
 
 
 TRACED = dict(seed=11, trace=True, trace_slow_ms=0.0, admin_port=0, window=64)
 
 
 class TestProbes:
-    def test_healthz_and_readyz(self):
+    def test_healthz_and_readyz(self, serve):
         async def scenario(server):
             host, port = server.admin.address
             status, headers, body = await http_get(host, port, "/healthz")
@@ -80,7 +86,8 @@ class TestProbes:
             assert payload["drain_loop"] == "ok"
             assert payload["store"] == "none"
             # A stale heartbeat flips readiness without killing liveness.
-            server.drain_beat = time.monotonic() - 60.0
+            if server.local is not None:
+                server.local.drain_beat = time.monotonic() - 60.0
             status, _, body = await http_get(host, port, "/readyz")
             # The drain loop may legitimately refresh the beat between the
             # poke and the probe; assert the contract, not the race.
@@ -91,23 +98,23 @@ class TestProbes:
 
         serve(ServerConfig(**TRACED), scenario)
 
-    def test_readiness_reports_closed_store_and_shutdown(self, tmp_path):
+    def test_readiness_reports_closed_store_and_shutdown(self, serve, tmp_path):
         async def scenario(server):
-            ok, detail = server.readiness()
+            ok, detail = await server.readiness()
             assert ok and detail["store"] == "ok"
             return server
 
         server = serve(
             ServerConfig(seed=1, admin_port=0, state_dir=str(tmp_path)), scenario
         )
-        ok, detail = server.readiness()
+        ok, detail = asyncio.run(server.readiness())
         assert not ok
         assert detail["closing"] is True
         assert detail["store"] == "closed"
 
 
 class TestMetricsScrape:
-    def test_prometheus_content_type_and_lines(self):
+    def test_prometheus_content_type_and_lines(self, serve):
         async def scenario(server):
             await drive_queries(server.tcp_address, 16)
             host, port = server.admin.address
@@ -129,7 +136,7 @@ class TestMetricsScrape:
 
 
 class TestTraceRoutes:
-    def test_debug_trace_reports_stages_and_attribution(self):
+    def test_debug_trace_reports_stages_and_attribution(self, serve):
         async def scenario(server):
             await drive_queries(server.tcp_address, 32)
             host, port = server.admin.address
@@ -143,7 +150,7 @@ class TestTraceRoutes:
 
         serve(ServerConfig(**TRACED), scenario)
 
-    def test_debug_slow_limit(self):
+    def test_debug_slow_limit(self, serve):
         async def scenario(server):
             await drive_queries(server.tcp_address, 32)
             host, port = server.admin.address
@@ -155,7 +162,7 @@ class TestTraceRoutes:
 
         serve(ServerConfig(**TRACED), scenario)
 
-    def test_trace_routes_404_when_tracing_disabled(self):
+    def test_trace_routes_404_when_tracing_disabled(self, serve):
         async def scenario(server):
             host, port = server.admin.address
             for path in ("/debug/trace", "/debug/slow"):
@@ -167,7 +174,7 @@ class TestTraceRoutes:
 
 
 class TestListings:
-    def test_sessions_pagination(self):
+    def test_sessions_pagination(self, serve):
         async def scenario(server):
             await drive_queries(server.tcp_address, 16, tenants=5)
             host, port = server.admin.address
@@ -186,7 +193,7 @@ class TestListings:
 
         serve(ServerConfig(**TRACED), scenario)
 
-    def test_audit_after_seq_pagination(self):
+    def test_audit_after_seq_pagination(self, serve):
         async def scenario(server):
             await drive_queries(server.tcp_address, 12, tenants=3)
             host, port = server.admin.address
@@ -205,9 +212,64 @@ class TestListings:
 
         serve(ServerConfig(**TRACED), scenario)
 
+    def test_audit_paging_sees_every_record_exactly_once(self, serve):
+        """Paging by the last seq of each small page walks the whole log.
+        Sharded, every shard numbers its seqs from 0, so pages cross seq
+        groups that hold one record per shard."""
+
+        async def scenario(server):
+            await drive_queries(server.tcp_address, 24, tenants=6)
+            host, port = server.admin.address
+            _, _, body = await http_get(host, port, "/audit?limit=1000")
+            everything = [(r["seq"], r.get("shard"))
+                          for r in json.loads(body)["records"]]
+            seen, after = [], -1
+            while True:
+                _, _, body = await http_get(
+                    host, port, f"/audit?after_seq={after}&limit=3"
+                )
+                page = json.loads(body)["records"]
+                if not page:
+                    break
+                seen += [(r["seq"], r.get("shard")) for r in page]
+                after = page[-1]["seq"]
+            return everything, seen
+
+        everything, seen = serve(ServerConfig(**TRACED), scenario)
+        assert len(seen) == len(set(seen))
+        assert sorted(seen) == sorted(everything)
+        assert len(everything) > 3
+
+
+class TestAuditEps:
+    def test_audit_eps_route_reads_the_posted_report(self, serve):
+        async def scenario(server):
+            host, port = server.admin.address
+            _, _, body = await http_get(host, port, "/audit/eps")
+            before = json.loads(body)
+            reader, writer = await asyncio.open_connection(*server.tcp_address)
+            writer.write((json.dumps({
+                "op": "audit_report", "trials": 40, "guesses": 40,
+                "correct": 40, "eps_lb": 2.0, "charged_eps": 1.0, "id": 1,
+            }) + "\n").encode())
+            await writer.drain()
+            posted = json.loads(await reader.readline())
+            writer.close()
+            await writer.wait_closed()
+            status, _, body = await http_get(host, port, "/audit/eps")
+            return before, posted, status, json.loads(body)
+
+        before, posted, status, after = serve(
+            ServerConfig(seed=8, admin_port=0), scenario
+        )
+        assert before == {"audited": False, "gate_fault": None}
+        assert posted["type"] == "audit_report" and posted["id"] == 1
+        assert status == 200
+        assert after["audited"] and after["caught"] and after["eps_lb"] == 2.0
+
 
 class TestHttpConformance:
-    def test_unknown_route_404_and_index(self):
+    def test_unknown_route_404_and_index(self, serve):
         async def scenario(server):
             host, port = server.admin.address
             status, _, body = await http_get(host, port, "/nope")
@@ -218,7 +280,7 @@ class TestHttpConformance:
 
         serve(ServerConfig(seed=3, admin_port=0), scenario)
 
-    def test_post_is_405(self):
+    def test_post_is_405(self, serve):
         async def scenario(server):
             host, port = server.admin.address
             reader, writer = await asyncio.open_connection(host, port)
@@ -231,7 +293,7 @@ class TestHttpConformance:
 
         serve(ServerConfig(seed=4, admin_port=0), scenario)
 
-    def test_keep_alive_serves_sequential_requests(self):
+    def test_keep_alive_serves_sequential_requests(self, serve):
         async def scenario(server):
             host, port = server.admin.address
             reader, writer = await asyncio.open_connection(host, port)
@@ -255,7 +317,7 @@ class TestHttpConformance:
 
 
 class TestProfiler:
-    def test_profile_returns_collapsed_stacks(self):
+    def test_profile_returns_collapsed_stacks(self, serve):
         async def scenario(server):
             host, port = server.admin.address
             status, headers, body = await http_get(
@@ -268,7 +330,7 @@ class TestProfiler:
 
         serve(ServerConfig(seed=6, admin_port=0), scenario)
 
-    def test_profile_rejects_bad_duration(self):
+    def test_profile_rejects_bad_duration(self, serve):
         async def scenario(server):
             host, port = server.admin.address
             for bad in ("0", "-1", "9999"):
@@ -285,11 +347,11 @@ class TestCliServeIntegration:
         config = ServerConfig(trace=True, trace_slow_ms=5.0, trace_exemplars=32,
                               admin_port=0)
         server = RuntimeServer(SUPPORTS, config)
-        assert server.tracer is not None
-        assert server.tracer.slow_ms == 5.0
-        assert server.tracer._ring.maxlen == 32
+        assert server.local.tracer is not None
+        assert server.local.tracer.slow_ms == 5.0
+        assert server.local.tracer._ring.maxlen == 32
 
     def test_untraced_server_has_no_tracer(self):
         server = RuntimeServer(SUPPORTS, ServerConfig())
-        assert server.tracer is None
+        assert server.local.tracer is None
         assert server.admin is None

@@ -184,7 +184,7 @@ def run_load(n_queries, **overrides):
             lines.append("")  # blank line: force a drain boundary
     stdout = io.StringIO()
     asyncio.run(server.serve_stdin(io.StringIO("\n".join(lines) + "\n"), stdout))
-    return server, server.snapshot()
+    return server, server.local.snapshot()
 
 
 class TestEmissionUnderLoad:
@@ -197,7 +197,7 @@ class TestEmissionUnderLoad:
         assert drains > 1  # the blank lines really did split the load
         assert snap["histograms"]["drain_latency_ms"]["count"] == drains
         # The gauge mirrors the policy's live window after every adaptive step.
-        assert snap["gauges"]["drain_window"] == server.policy.window
+        assert snap["gauges"]["drain_window"] == server.local.policy.window
         assert snap["gauges"]["ingress_depth"] == 0  # fully drained at EOF
         # Budgets exhaust partway through; answered + rejected covers all.
         assert snap["counters"]["requests_total"] == 96

@@ -79,7 +79,7 @@ class TestProtocol:
             '{"op": "query", "tenant": "a", "item": 0}\n',
         )
         assert [entry["type"] for entry in lines] == ["answer"]
-        wait = server.tracer.stage_hist["ingress_wait"]
+        wait = server.local.tracer.stage_hist["ingress_wait"]
         assert wait.count == 1
         assert wait.sum >= 500.0  # measured from the mark, not admission
 
@@ -166,7 +166,7 @@ class TestBackpressure:
         responses = []
         for k in range(6):
             responses.append(
-                server.ingest_line(
+                server.local.ingest_line(
                     json.dumps({"op": "query", "tenant": "t", "item": 0, "id": k}),
                     conn,
                 )
@@ -177,20 +177,20 @@ class TestBackpressure:
         assert all(r["type"] == "overloaded" for r in shed)
         assert [r["id"] for r in shed] == [3, 4, 5]
         assert server.metrics.counter("shed_total").value == 3
-        assert server.snapshot()["shed_rate"] == 0.5
+        assert server.local.snapshot()["shed_rate"] == 0.5
         # The admitted half still drains fine afterwards — no deadlock.
-        served = asyncio.run(server.drain_once())
+        served = asyncio.run(server.local.drain_once())
         assert served == 3
 
     def test_block_weight_counts_toward_admission(self):
         server = make_server(max_queue=10)
         conn = _Connection(stream=io.StringIO())
-        ok = server.ingest_line(
+        ok = server.local.ingest_line(
             json.dumps({"op": "query_block", "tenant": "t", "items": list(range(8))}),
             conn,
         )
         assert ok is None
-        refused = server.ingest_line(
+        refused = server.local.ingest_line(
             json.dumps({"op": "query_block", "tenant": "t", "items": [0, 1, 2]}),
             conn,
         )
@@ -340,7 +340,7 @@ class TestGracefulShutdown:
             await writer.drain()
             line = json.loads(await reader.readline())
             await server.shutdown()
-            assert not server.ingress.depth
+            assert not server.local.ingress.depth
             # A new connection is refused after shutdown.
             with pytest.raises(OSError):
                 await asyncio.open_connection(host, port)
@@ -353,7 +353,7 @@ class TestGracefulShutdown:
     def test_session_ttl_expires_between_drains(self):
         server = make_server(session_ttl=0.0001, window=1)
         lines = run_stdin(server, "a 0\n\nb 1\n\n")
-        assert server.expired_tenants  # tenant a (at least) expired
+        assert server.local.expired_tenants  # tenant a (at least) expired
         assert server.metrics.counter("sessions_expired_total").value >= 1
         assert all("type" in entry for entry in lines)
 

@@ -31,7 +31,6 @@ from repro.service.runtime import (
     HashRing,
     RuntimeServer,
     ServerConfig,
-    ShardedServer,
 )
 
 SUPPORTS = np.linspace(1000.0, 10.0, 120)
@@ -55,7 +54,7 @@ def run_single_stdin(text: str, **overrides):
 
 def run_sharded_stdin(text: str, shards: int = 2, **overrides):
     async def main():
-        server = ShardedServer(SUPPORTS, make_config(**overrides), shards=shards)
+        server = RuntimeServer(SUPPORTS, make_config(**overrides), shards=shards)
         stdout = io.StringIO()
         try:
             await server.serve_stdin(io.StringIO(text), stdout)
@@ -214,7 +213,7 @@ class TestShedAccountingAndAdminPlane:
         async def main():
             # max_queue=8 with weight-16 blocks: every block sheds, and the
             # single scalar query per tenant is admitted — deterministic.
-            server = ShardedServer(
+            server = RuntimeServer(
                 SUPPORTS, make_config(max_queue=8, admin_port=0), shards=2
             )
             await server.serve_tcp("127.0.0.1", 0)
@@ -298,7 +297,7 @@ class TestWorkerDeathAndRecovery:
         seq chain is contiguous from 0."""
 
         async def main():
-            server = ShardedServer(
+            server = RuntimeServer(
                 SUPPORTS,
                 make_config(state_dir=str(tmp_path / "state"), auto_open=False),
                 shards=2,
@@ -319,9 +318,9 @@ class TestWorkerDeathAndRecovery:
                 assert (await rpc({"op": "query", "tenant": tenant, "item": 0,
                                    "id": 1}))["type"] == "answer"
 
-            os.kill(server.workers[0].pid, signal.SIGKILL)
+            os.kill(server.backends[0].pid, signal.SIGKILL)
             deadline = asyncio.get_running_loop().time() + 10.0
-            while not server.workers[0].down:
+            while not server.backends[0].down:
                 assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.02)
 
@@ -365,7 +364,7 @@ class TestWorkerDeathAndRecovery:
 class TestDecommission:
     def test_eviction_releases_budget_and_rehashes_onto_survivors(self):
         async def main():
-            server = ShardedServer(SUPPORTS, make_config(), shards=3)
+            server = RuntimeServer(SUPPORTS, make_config(), shards=3)
             await server.serve_tcp("127.0.0.1", 0)
             host, port = server.tcp_address
             reader, writer = await asyncio.open_connection(host, port)
@@ -457,6 +456,72 @@ class TestSnapshotMerging:
         assert snap["shed_rate"] == round(4 / 7, 6)
 
 
+    def test_merge_audit_pages_never_end_inside_a_seq_group(self):
+        """2 shards x seqs 0-5, limit 3, paging by the last seq: every
+        record exactly once (a page cut inside a seq group would lose that
+        seq's records on the higher shards)."""
+        from repro.service.runtime.shard import merge_audit
+
+        def shard_view(after_seq, limit):
+            records = [{"seq": s} for s in range(6) if s > after_seq]
+            return {"next_seq": 6, "records": records[:limit]}
+
+        seen, after = [], -1
+        while True:
+            page = merge_audit({k: shard_view(after, 3) for k in (0, 1)},
+                               after, 3)["records"]
+            if not page:
+                break
+            seen += [(r["seq"], r["shard"]) for r in page]
+            after = page[-1]["seq"]
+        assert seen == [(s, k) for s in range(6) for k in (0, 1)]
+
+
+class TestStatus:
+    def test_status_keys_match_and_totals_sum_over_shards(self):
+        """``status`` has one shape at every shard count, and the sharded
+        totals are the sums of the shards' own."""
+        from repro.service.runtime.server import STATUS_TOTALS
+
+        async def run(shards):
+            server = RuntimeServer(SUPPORTS, make_config(), shards=shards)
+            await server.serve_tcp("127.0.0.1", 0)
+            reader, writer = await asyncio.open_connection(*server.tcp_address)
+
+            async def rpc(payload):
+                writer.write((json.dumps(payload) + "\n").encode())
+                await writer.drain()
+                return json.loads(await reader.readline())
+
+            for i in range(9):
+                tenant = f"tenant-{i}"
+                assert (await rpc({"op": "query", "tenant": tenant,
+                                   "item": i}))["type"] == "answer"
+                if i % 3 == 0:
+                    assert (await rpc({"op": "close",
+                                       "tenant": tenant}))["type"] == "closed"
+            status = await rpc({"op": "status"})
+            per = [await server.backends[k].view("status")
+                   for k in range(shards)] if shards > 1 else None
+            writer.close()
+            await server.shutdown()
+            return status, per
+
+        single, _ = asyncio.run(run(1))
+        sharded, per = asyncio.run(run(3))
+        assert single.keys() == sharded.keys()
+        assert set(single["shards"]) == {"0"}
+        assert set(sharded["shards"]) == {"0", "1", "2"}
+        for key in STATUS_TOTALS:
+            assert sharded[key] == pytest.approx(sum(p[key] for p in per)), key
+        # Same per-tenant traffic, same fleet-wide accounting.
+        assert (single["sessions_open"], single["sessions_closed"]) == (6, 3)
+        for key in ("sessions_open", "sessions_closed", "audit_records",
+                    "next_audit_seq"):
+            assert sharded[key] == single[key], key
+        assert sharded["epsilon_spent"] == pytest.approx(single["epsilon_spent"])
+
+
 class TestShardedAudit:
     def test_canary_audit_across_shards_catches_broken_gate(self):
         """The continuous-audit path through the router: canary sessions
@@ -471,7 +536,7 @@ class TestShardedAudit:
         planted, plan = plant_canaries(SUPPORTS, threshold=600.0)
 
         async def main():
-            server = ShardedServer(
+            server = RuntimeServer(
                 planted, make_config(gate_fault="rho-reuse"), shards=2
             )
             await server.serve_tcp("127.0.0.1", 0)

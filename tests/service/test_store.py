@@ -416,7 +416,7 @@ class TestFaultInjection:
             error_threshold=600.0, seed=5, mode="per-session",
             state_dir=str(tmp_path), drain_idle_s=0.001,
         ))
-        server.store.faults.arm("flush-begin", "raise")
+        server.local.store.faults.arm("flush-begin", "raise")
         stdout = io.StringIO()
         asyncio.run(server.serve_stdin(io.StringIO(
             '{"op": "query", "tenant": "a", "item": 0}\n'
@@ -431,11 +431,11 @@ class TestFaultInjection:
         asyncio.run(server.serve_stdin(io.StringIO(
             '{"op": "query", "tenant": "a", "item": 0}\n'
         ), stdout))
-        server.close_store()
+        server.local.close_store()
         lines = [json.loads(line) for line in stdout.getvalue().splitlines()]
         assert lines and lines[0]["type"] == "answer"
         recovered, info = restore_service(DurableStore(tmp_path), SUPPORTS)
-        assert info.report.ok and len(recovered.audit) == len(server.service.audit)
+        assert info.report.ok and len(recovered.audit) == len(server.local.service.audit)
 
     def test_open_failure_is_typed_unavailable(self, tmp_path):
         import io
@@ -447,12 +447,12 @@ class TestFaultInjection:
             error_threshold=600.0, seed=5, state_dir=str(tmp_path),
             drain_idle_s=0.001,
         ))
-        server.store.faults.arm("flush-begin", "raise")
+        server.local.store.faults.arm("flush-begin", "raise")
         stdout = io.StringIO()
         asyncio.run(server.serve_stdin(io.StringIO(
             '{"op": "open", "tenant": "a", "epsilon": 1.0, "c": 5}\n'
         ), stdout))
-        server.close_store()
+        server.local.close_store()
         lines = [json.loads(line) for line in stdout.getvalue().splitlines()]
         assert lines[0]["type"] == "unavailable" and lines[0]["op"] == "open"
 
@@ -483,15 +483,15 @@ class TestServerDurability:
             '{"op": "open", "tenant": "a", "epsilon": 1.0, "c": 8}\n'
             '{"op": "query", "tenant": "a", "item": 3}\n',
         )
-        server.close_store()
-        assert server.store.stats["flushes"] >= 1
+        server.local.close_store()
+        assert server.local.store.stats["flushes"] >= 1
 
         reborn = self.make(tmp_path)
-        assert reborn.recovery is not None and reborn.recovery.report.ok
+        assert reborn.local.recovery is not None and reborn.local.recovery.report.ok
         again = self.run_stdin(
             reborn, '{"op": "query", "tenant": "a", "item": 3}\n'
         )
-        reborn.close_store()
+        reborn.local.close_store()
         answer = [l for l in first if l["type"] == "answer"][0]
         repeat = [l for l in again if l["type"] == "answer"][0]
         assert repeat["value"] == answer["value"] and repeat["from_history"]
@@ -499,31 +499,31 @@ class TestServerDurability:
     def test_recovery_metrics_are_observed(self, tmp_path):
         server = self.make(tmp_path)
         self.run_stdin(server, '{"op": "query", "tenant": "a", "item": 0}\n')
-        server.close_store()
+        server.local.close_store()
         reborn = self.make(tmp_path)
-        snap = reborn.snapshot()
+        snap = reborn.local.snapshot()
         assert snap["histograms"]["recovery_time_ms"]["count"] == 1
         assert "store_flushes" in snap["gauges"]
-        reborn.close_store()
+        reborn.local.close_store()
 
     def test_persisted_seed_supersedes_config(self, tmp_path):
         server = self.make(tmp_path, seed=5)
         self.run_stdin(server, '{"op": "query", "tenant": "a", "item": 0}\n')
-        server.close_store()
+        server.local.close_store()
         # A reboot with the wrong --seed must keep the persisted streams.
         reborn = self.make(tmp_path, seed=99)
-        assert reborn.service.manager.seed == server.service.manager.seed
-        reborn.close_store()
+        assert reborn.local.service.manager.seed == server.local.service.manager.seed
+        reborn.local.close_store()
 
     def test_fresh_dir_boots_fresh_and_audit_stays_green(self, tmp_path):
         server = self.make(tmp_path)
-        assert server.recovery is None
+        assert server.local.recovery is None
         lines = self.run_stdin(
             server,
             '{"op": "query", "tenant": "a", "item": 0}\n'
             '{"op": "close", "tenant": "a"}\n',
         )
-        server.close_store()
+        server.local.close_store()
         assert [l["type"] for l in lines] == ["answer", "closed"]
         recovered, info = restore_service(DurableStore(tmp_path), SUPPORTS)
         report = verify_audit(recovered.audit, recovered.manager.audit_sessions())

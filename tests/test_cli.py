@@ -150,6 +150,29 @@ class TestServe:
         assert repeat["value"] == lines[0]["value"]
         assert "2 sessions" in captured.err
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_serve_summary_at_any_shard_count(self, scores_file, capsys,
+                                              monkeypatch, shards):
+        """One serve path: the end-of-run summary reads the status totals
+        the same way whether one process or two shard workers served."""
+        import io
+        import re
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("alice 0\nbob 1\nalice 0\n"))
+        code = main(["serve", str(scores_file), "--threshold", "600",
+                     "--seed", "5", "--mode", "per-session",
+                     "--shards", str(shards)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 3
+        summary = re.search(
+            r"served (\d+) requests across (\d+) sessions.*?\((\d+) audit records",
+            captured.err,
+        )
+        assert summary is not None, captured.err
+        assert summary.group(1, 2) == ("3", "2")
+        assert int(summary.group(3)) > 0
+
     def test_serve_reports_bad_lines(self, scores_file, capsys, monkeypatch):
         import io
 
