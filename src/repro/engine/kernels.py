@@ -18,7 +18,8 @@ Kernel families, mapping onto the Figure 1 variants:
   ``q_i + nu_i`` that won the comparison), and Alg. 4.
 * :func:`dpbook_kernel` — Alg. 2: the threshold noise is refreshed after
   every positive, splitting the run into constant-rho segments; each segment
-  is one vectorized scan-then-cut.
+  ends at the first hit of a :func:`first_hits` scan from the segment's
+  start, so the run reads only the queries it processes.
 * :func:`nocut_kernel` — Alg. 5/6 and GPTT: no cutoff, every query is
   processed, so the whole run is a single vectorized comparison.
 """
@@ -38,6 +39,7 @@ __all__ = [
     "threshold_kernel_stream",
     "dpbook_kernel",
     "dpbook_kernel_stream",
+    "first_hits",
     "nocut_kernel",
     "nocut_kernel_stream",
     "THRESHOLD_BYTES_PER_CELL",
@@ -59,8 +61,11 @@ __all__ = [
 #: positives masks (2) + slack.
 THRESHOLD_BYTES_PER_CELL = 48
 
-#: dpbook_kernel (Alg. 2): the threshold shape plus the persistent
-#: ``values + nu`` matrix the segmented refresh rescans keep live.
+#: Alg. 2's dense cell: a conservative upper bound, kept at the threshold
+#: shape plus 8 bytes a cell.  The cell holds less at (trials, n): the nu
+#: block, the (shuffled) values and the positives mask; its refresh rounds
+#: form ``values + nu`` one scan window at a time (:func:`first_hits`),
+#: never as a matrix.
 DPBOOK_BYTES_PER_CELL = 56
 
 #: nocut_kernel with query noise (Alg. 6 / GPTT): no halt bookkeeping, but
@@ -71,6 +76,63 @@ NOCUT_BYTES_PER_CELL = 44
 #: nocut_kernel without query noise (Alg. 5): no nu block and no noisy
 #: intermediate at all — the comparison broadcasts against rho alone.
 NOCUT_NONOISE_BYTES_PER_CELL = 32
+
+
+#: A first-hit scan compares this many queries per trial in its first step
+#: and doubles every further step of the same scan, while one step compares
+#: at most :data:`SCAN_STEP_CAP` (trial, query) cells over all the trials
+#: it scans together (but never fewer than ``SCAN_STEP`` queries a trial):
+#: a hit a few positions away costs a few hundred comparisons, a long scan
+#: O(distance / cap) steps, and a step's intermediates stay small however
+#: many trials scan at once.
+SCAN_STEP = 256
+SCAN_STEP_CAP = 1 << 16
+
+
+def first_hits(
+    values: np.ndarray,
+    thresholds: np.ndarray,
+    nu: np.ndarray,
+    rows: np.ndarray,
+    start: np.ndarray,
+    rho: np.ndarray,
+    nu_scale: Optional[float] = None,
+) -> np.ndarray:
+    """Each row's first query at or after its start that clears its threshold.
+
+    For every ``i``, the smallest ``j >= start[i]`` with ``values[r, j] +
+    nu[r, j] * nu_scale >= thresholds[j] + rho[i]`` where ``r = rows[i]``,
+    or -1 when the row has none.  *values* and *nu* are ``(trials, n)``
+    (*values* may be a broadcast view), *thresholds* is ``(n,)``;
+    ``nu_scale=None`` reads *nu* as is.  The rows are scanned together in
+    windows that start at :data:`SCAN_STEP` queries and grow, so a scan
+    costs the distance to its hit, not n; ``values + nu`` is formed only for
+    the window being compared, with the same float operations as the full
+    matrix, so the hits are exactly those of a full-width comparison.
+    """
+    n = values.shape[1]
+    hits = np.full(len(rows), -1, dtype=np.int64)
+    pos = np.array(start, dtype=np.int64)
+    live = np.nonzero(pos < n)[0]
+    step = SCAN_STEP
+    while live.size:
+        r, at = rows[live][:, None], pos[live]
+        width = min(step, n - int(at.min()))
+        cols = at[:, None] + np.arange(width)
+        inside = cols < n
+        np.minimum(cols, n - 1, out=cols)
+        noise = nu[r, cols]
+        if nu_scale is not None:
+            noise *= nu_scale
+        above = values[r, cols] + noise >= thresholds[cols] + rho[live][:, None]
+        above &= inside
+        first = np.argmax(above, axis=1)
+        found = above[np.arange(live.size), first]
+        hits[live[found]] = at[found] + first[found]
+        pos[live] = at + width
+        live = live[~found & (at + width < n)]
+        step = min(2 * step, max(SCAN_STEP, SCAN_STEP_CAP // max(live.size, 1)))
+    return hits
 
 
 def cut_at_cth_positive(above: np.ndarray, c: int) -> Tuple[int, bool]:
@@ -178,20 +240,22 @@ def dpbook_kernel(
     nu: np.ndarray,
     c: int,
 ) -> SVTResult:
-    """Vectorized Alg. 2 kernel: segmented rescans with per-segment rho.
+    """Vectorized Alg. 2 kernel: segmented first-hit scans with per-segment rho.
 
     ``rhos[0]`` is the initial threshold noise; ``rhos[k]`` the refresh used
     after the k-th positive (the listing refreshes after *every* positive,
     including the c-th, so up to ``c + 1`` entries are consumed — pass at
     least that many).  Each query is examined exactly once; a "segment" is a
-    maximal run under one rho, ended by a positive, and within a segment the
-    comparison is one vectorized scan.
+    maximal run under one rho, ended by a positive, found by one
+    :func:`first_hits` scan from the segment's start.
     """
     arr = _as_values(values)
     n = arr.size
     if len(rhos) < min(c, n) + 1:
         raise InvalidParameterError(f"need at least min(c, n)+1 threshold draws, got {len(rhos)}")
-    noisy = arr + nu
+    row = np.zeros(1, dtype=np.int64)
+    thr = np.asarray(thresholds, dtype=float)
+    noise = np.asarray(nu, dtype=float)[None, :]
 
     rho = float(rhos[0])
     trace = [rho]
@@ -200,11 +264,9 @@ def dpbook_kernel(
     processed = n
     halted = False
     while start < n:
-        above = noisy[start:] >= thresholds[start:] + rho
-        hits = np.nonzero(above)[0]
-        if not hits.size:
+        pos = int(first_hits(arr[None, :], thr, noise, row, [start], np.array([rho]))[0])
+        if pos < 0:
             break
-        pos = start + int(hits[0])
         positives.append(pos)
         rho = float(rhos[len(positives)])
         trace.append(rho)

@@ -59,6 +59,7 @@ import numpy as np
 from repro.core.allocation import BudgetAllocation
 from repro.core.base import normalize_thresholds
 from repro.data.scores import ScoreSource, topc_stats
+from repro.engine.kernels import SCAN_STEP as _SCAN_STEP, SCAN_STEP_CAP as _SCAN_STEP_CAP
 from repro.engine.noise import TrialStreams
 from repro.engine.plans import noise_plan
 from repro.engine.trials import TrialBatch, _scatter_selection, _svt_scales
@@ -237,13 +238,6 @@ def _fold_single_pass(
 # Alg. 2: segmented rescans over the tile grid with per-trial noise cursors.
 # ---------------------------------------------------------------------------
 
-#: A cursor scan draws this many noise values in its first step and doubles
-#: every further step of the same scan up to :data:`_SCAN_STEP_CAP`: a hit a
-#: few positions away costs a few hundred draws, a long scan costs
-#: O(distance / cap) steps.
-_SCAN_STEP = 256
-_SCAN_STEP_CAP = 1 << 16
-
 
 def _scan_to_hit(
     gen: np.random.Generator,
@@ -257,7 +251,9 @@ def _scan_to_hit(
 ) -> Tuple[int, int]:
     """Advance one trial's noise cursor through the tile ``(v, t)``.
 
-    Scans from tile offset *off* in growing steps and returns ``(hit,
+    Scans from tile offset *off* in growing steps (the first-hit scan
+    policy of :data:`repro.engine.kernels.SCAN_STEP`, one trial wide: a
+    cursor draws its noise as it scans) and returns ``(hit,
     step)``: the offset of the first ``v + nu >= t + rho`` (-1 if the tile
     ends without one) and the step size a continuing scan resumes with.  On
     a hit the cursor is restored to the step's saved state and redrawn

@@ -7,17 +7,22 @@ hot path; this module removes it:
 
 * the query noise for *all* trials is one ``(trials, n)`` Laplace block
   (:mod:`repro.engine.noise`), the threshold noise one ``(trials,)`` vector;
-* the halt point of every trial falls out of one row-wise cumsum
-  (:func:`cut_matrix`), and the first-c selections out of one masked
-  scatter (:func:`selection_matrix`);
+* the halt point and the first-c selections of every trial fall out of one
+  row-wise cumsum and one masked scatter (the cut :func:`cut_matrix` and
+  :func:`selection_matrix` expose), and the cumsum's first-c mask is also
+  the positives mask;
 * SER/FNR for all trials come from the vectorized
   :func:`repro.metrics.utility.batch_selection_metrics`.
 
 Alg. 2's threshold refresh makes its comparison row depend on the trial's
-own history; :func:`_dpbook_above` handles it with segmented rescans — at
-most c+1 rounds, each one vectorized across all still-active trials, with
-the per-query noise still drawn as a single up-front block (each query is
-examined at most once, so one draw per query is the correct semantics).
+own history; :func:`_dpbook_trials` handles it in refresh rounds, each a
+first-hit scan per still-active trial from where its last round stopped
+(:func:`repro.engine.kernels.first_hits`: windows vectorized across the
+trials that grow from a few hundred queries, so a round costs the distance
+it scans, not n).  The per-query noise is still drawn as a single up-front
+block (each query is examined at most once, so one draw per query is the
+correct semantics) and read window by window; the rounds return each
+trial's selection and halt point directly.
 The Section-5 methods route through :mod:`repro.engine.retraversal`:
 ``"retraversal"`` runs segmented multi-pass rescans and ``"em"`` a row-wise
 Gumbel-max, so *every* registry method now executes vectorized end to end.
@@ -55,6 +60,7 @@ import numpy as np
 from repro.core.allocation import BudgetAllocation
 from repro.core.base import normalize_thresholds
 from repro.data.scores import ScoreSource
+from repro.engine.kernels import first_hits
 from repro.engine.noise import (
     TrialRngs,
     gumbel_matrix,
@@ -79,19 +85,39 @@ __all__ = [
 ]
 
 
+def _first_c(above: np.ndarray, c: int) -> Tuple[np.ndarray, np.ndarray]:
+    """One row-wise cumsum: the padded first-c selection and its mask.
+
+    ``mask`` marks each row's positives up to and including its c-th — the
+    prefix a cutoff run processes — so it is both the selection mask and a
+    cutoff run's positives mask.  ``selection`` is ``(trials, c)``,
+    right-padded with -1, in selection order.
+    """
+    trials, n = above.shape
+    cum = np.cumsum(above, axis=1)
+    mask = above & (cum <= c)
+    rows, cols = np.nonzero(mask)
+    selection = np.full((trials, c), -1, dtype=np.int64)
+    selection[rows, cum[rows, cols] - 1] = cols
+    return selection, mask
+
+
+def _halt_points(selection: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(processed, halted)`` of cutoff runs from their padded selections:
+    a run halts right after its c-th positive, else processes all n."""
+    last = selection[:, -1]
+    halted = last >= 0
+    return np.where(halted, last + 1, n), halted
+
+
 def cut_matrix(above: np.ndarray, c: int) -> Tuple[np.ndarray, np.ndarray]:
     """Row-wise halt points: ``(processed, halted)`` for a (trials, n) run.
 
     The vectorized form of :func:`repro.engine.kernels.cut_at_cth_positive`:
     a trial halts right after its c-th positive comparison.
     """
-    trials, n = above.shape
-    cum = np.cumsum(above, axis=1)
-    hit = (cum == c) & above
-    halted = hit.any(axis=1)
-    first = np.argmax(hit, axis=1)
-    processed = np.where(halted, first + 1, n)
-    return processed, halted
+    selection, _mask = _first_c(above, c)
+    return _halt_points(selection, above.shape[1])
 
 
 def selection_matrix(
@@ -103,15 +129,9 @@ def selection_matrix(
     right-padded with -1 (selection order preserved) and ``counts`` the
     number of selections per trial.
     """
-    trials, n = above.shape
-    cum = np.cumsum(above, axis=1)
-    mask = above & (cum <= c)
     if processed is not None:
-        mask &= np.arange(n)[None, :] < processed[:, None]
-    rows, cols = np.nonzero(mask)
-    ordinal = cum[rows, cols] - 1
-    selection = np.full((trials, c), -1, dtype=np.int64)
-    selection[rows, ordinal] = cols
+        above = above & (np.arange(above.shape[1])[None, :] < processed[:, None])
+    selection, mask = _first_c(above, c)
     return selection, mask.sum(axis=1)
 
 
@@ -132,8 +152,7 @@ def _svt_select(
     a statement about noise scaling alone.
     """
     above = values + nu >= thr[None, :] + rho[:, None]
-    processed, _halted = cut_matrix(above, c)
-    selection, _counts = selection_matrix(above, c, processed)
+    selection, _mask = _first_c(above, c)
     return selection
 
 
@@ -356,6 +375,9 @@ def _above_for_variant(
 ) -> Tuple[np.ndarray, bool]:
     """The (trials, n) comparison matrix plus whether the variant has a cutoff.
 
+    Every threshold variant but Alg. 2, whose refresh rounds return their
+    results directly (:func:`_dpbook_trials`).
+
     With *units* the threshold/query noise comes from the pre-drawn unit
     blocks rescaled to this epsilon's scales instead of fresh draws.
     """
@@ -373,8 +395,6 @@ def _above_for_variant(
             nu = laplace_matrix(rng, nu_scale, trials, n)
         return values + nu >= thr[None, :] + rho[:, None], True
     plan = noise_plan(key, epsilon, c, delta)
-    if key == "alg2":
-        return _dpbook_above(values, thr, plan, c, rng, trials, units), True
     if units is not None:
         rho = units.rho * plan.rho_scale
     else:
@@ -388,7 +408,7 @@ def _above_for_variant(
     return values + nu >= thr[None, :] + rho[:, None], plan.cutoff
 
 
-def _dpbook_above(
+def _dpbook_trials(
     values: np.ndarray,
     thr: np.ndarray,
     plan: NoisePlan,
@@ -396,50 +416,49 @@ def _dpbook_above(
     rng: TrialRngs,
     trials: int,
     units: Optional[_UnitNoise] = None,
-) -> np.ndarray:
-    """Alg. 2 comparison matrix via segmented rescans across all trials.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Alg. 2 for all trials: refresh rounds of first-hit window scans.
 
-    One up-front noise block covers every query (each is examined at most
-    once); the refresh loop runs at most c+1 rounds, each vectorized over the
-    still-active trials.  The returned matrix reports, for every (trial,
-    query), whether that query's single examination succeeded under the rho
-    in force when it was reached — columns past a trial's halt point are
-    sliced away by :func:`cut_matrix` downstream.  In grid mode the initial
-    rho and the nu block come from the shared unit noise; the
-    outcome-dependent refresh draws stay fresh per epsilon.
+    Returns ``(selection, processed, halted, count)``.  One up-front noise
+    block covers every query (each is examined at most once).  A round
+    scans every still-active trial forward from its current position to its
+    next hit (:func:`repro.engine.kernels.first_hits`, vectorized across
+    the trials, in windows that grow from
+    :data:`~repro.engine.kernels.SCAN_STEP` queries), so a round costs the
+    distance it scans; ``values + nu`` exists only per window.
+    The trials that hit short of c then draw their refreshed rho, in
+    ascending trial order — one draw per hit, round by round, the order a
+    full-width rescan per round consumes the stream in.  In grid mode the
+    initial rho and the nu block come from the shared unit noise (scaled
+    per window); the outcome-dependent refresh draws stay fresh per
+    epsilon.
     """
     n = values.shape[1]
     if units is not None:
         rho = units.rho * plan.rho_scale
-        nu = units.nu * plan.nu_scale
+        nu, nu_scale = units.nu, plan.nu_scale
     else:
         rho = laplace_vector(rng, plan.rho_scale, trials)
-        nu = laplace_matrix(rng, plan.nu_scale, trials, n)
-    rho = rho.copy()  # refreshed in place below; keep the units intact
-    noisy = values + nu
+        nu, nu_scale = laplace_matrix(rng, plan.nu_scale, trials, n), None
 
     per_trial = isinstance(rng, (list, tuple))
     shared = None if per_trial else ensure_rng(rng)
-    above = np.zeros((trials, n), dtype=bool)
-    start = np.zeros(trials, dtype=np.int64)
+    selection = np.full((trials, c), -1, dtype=np.int64)
     count = np.zeros(trials, dtype=np.int64)
-    active = np.ones(trials, dtype=bool)
-    cols = np.arange(n)
-    while active.any():
-        idx = np.nonzero(active)[0]
-        sub = noisy[idx] >= thr[None, :] + rho[idx, None]
-        sub &= cols[None, :] >= start[idx, None]
-        has_hit = sub.any(axis=1)
-        pos = np.argmax(sub, axis=1)
+    processed = np.full(trials, n, dtype=np.int64)
+    halted = np.zeros(trials, dtype=bool)
+    pos = np.zeros(trials, dtype=np.int64)
+    active = np.arange(trials) if n else np.zeros(0, dtype=np.int64)
+    while active.size:
+        hits = first_hits(values, thr, nu, active, pos[active], rho[active], nu_scale)
         # Trials with no further hit under the current rho are done.
-        active[idx[~has_hit]] = False
-        hit_trials = idx[has_hit]
-        hit_pos = pos[has_hit]
-        above[hit_trials, hit_pos] = True
+        found = hits >= 0
+        hit_trials, hit_pos = active[found], hits[found]
+        selection[hit_trials, count[hit_trials]] = hit_pos
         count[hit_trials] += 1
-        start[hit_trials] = hit_pos + 1
         done = count[hit_trials] >= c
-        active[hit_trials[done]] = False
+        processed[hit_trials[done]] = hit_pos[done] + 1
+        halted[hit_trials[done]] = True
         refresh = hit_trials[~done]
         if refresh.size:
             scale = plan.refresh_scale
@@ -447,7 +466,9 @@ def _dpbook_above(
                 rho[refresh] = [float(rng[t].laplace(scale=scale)) for t in refresh]
             else:
                 rho[refresh] = shared.laplace(scale=scale, size=refresh.size)
-    return above
+        pos[refresh] = hit_pos[~done] + 1
+        active = refresh[pos[refresh] < n]
+    return selection, processed, halted, count
 
 
 def _scatter_selection(selection: np.ndarray, trials: int, n: int) -> np.ndarray:
@@ -663,19 +684,24 @@ def _run_cell(
         halted = np.zeros(trials, dtype=bool)
         positives_mask = _scatter_selection(selection, trials, n)
         num_positives = (selection >= 0).sum(axis=1)
+    elif key == "alg2":
+        selection, processed, halted, num_positives = _dpbook_trials(
+            values, thr, noise_plan(key, epsilon, c, delta), c, rng, trials, units
+        )
+        positives_mask = _scatter_selection(selection, trials, n)
     else:
         above, has_cutoff = _above_for_variant(
             key, values, thr, epsilon, c, delta, monotonic, ratio, rng, trials, units
         )
+        selection, first_c = _first_c(above, c)
         if has_cutoff:
-            processed, halted = cut_matrix(above, c)
+            processed, halted = _halt_points(selection, n)
+            positives_mask = first_c
         else:
             processed = np.full(trials, n, dtype=np.int64)
             halted = np.zeros(trials, dtype=bool)
-        prefix = np.arange(n)[None, :] < processed[:, None]
-        positives_mask = above & prefix
+            positives_mask = above
         num_positives = positives_mask.sum(axis=1)
-        selection, _counts = selection_matrix(above, c, processed)
 
     if compute_metrics:
         ser, fnr = batch_selection_metrics(values, selection, c, base_scores=base)
