@@ -114,10 +114,14 @@ def cut_matrix(above: np.ndarray, c: int) -> Tuple[np.ndarray, np.ndarray]:
     """Row-wise halt points: ``(processed, halted)`` for a (trials, n) run.
 
     The vectorized form of :func:`repro.engine.kernels.cut_at_cth_positive`:
-    a trial halts right after its c-th positive comparison.
+    a trial halts right after its c-th positive comparison; with ``c < 1``
+    no trial halts.
     """
+    trials, n = above.shape
+    if c < 1:
+        return np.full(trials, n, dtype=np.int64), np.zeros(trials, dtype=bool)
     selection, _mask = _first_c(above, c)
-    return _halt_points(selection, above.shape[1])
+    return _halt_points(selection, n)
 
 
 def selection_matrix(

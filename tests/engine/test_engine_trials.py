@@ -73,6 +73,9 @@ class TestCutAndSelection:
         processed, halted = cut_matrix(above, 2)
         np.testing.assert_array_equal(processed, [2, 3, 3])
         np.testing.assert_array_equal(halted, [True, False, True])
+        processed, halted = cut_matrix(above, 0)
+        np.testing.assert_array_equal(processed, [3, 3, 3])
+        np.testing.assert_array_equal(halted, [False, False, False])
 
     def test_selection_matrix_caps_at_c(self):
         above = np.array([[True, True, True, True]])
